@@ -16,11 +16,11 @@
  *   cold simulate — end-to-end run() wall time at -O0 vs -O1 (the
  *           pipeline runs inside the freeze, so this prices the
  *           passes themselves).
- *   rehydration — StoredRun::open() wall time on a v2 image (no
- *           layout section: recompile through the passes on load)
- *           vs a v3 image (persisted layout: decode + validate
- *           only), the cross-process payoff of persisting the
- *           compiled form.
+ *   rehydration — StoredRun::rehydrate() wall time from a decoded
+ *           snapshot (recompile through the passes) vs
+ *           StoredRun::open() of a run file (persisted layout:
+ *           read + decode + validate only), the cross-process payoff
+ *           of persisting the compiled form.
  *
  * Results land in BENCH_compile.json (per-design counters, per-pass
  * breakdown, timing columns, totals with the elimination geomean)
@@ -64,12 +64,27 @@ writeImage(const std::string &path, const std::string &image)
 
 /** Mean seconds of one StoredRun::open over @p reps repetitions. */
 double
-timeRehydrate(const std::string &path, unsigned reps)
+timeOpen(const std::string &path, unsigned reps)
 {
     Stopwatch sw;
     for (unsigned r = 0; r < reps; ++r)
         (void)io::StoredRun::open(path);
     return sw.seconds() / reps;
+}
+
+/** Mean seconds of one StoredRun::rehydrate (a recompile) of @p snap
+ *  over @p reps repetitions; the snapshot copies are not timed. */
+double
+timeRecompile(const RunSnapshot &snap, unsigned reps)
+{
+    double seconds = 0;
+    for (unsigned r = 0; r < reps; ++r) {
+        RunSnapshot copy = snap;
+        Stopwatch sw;
+        (void)io::StoredRun::rehydrate(std::move(copy));
+        seconds += sw.seconds();
+    }
+    return seconds / reps;
 }
 
 void
@@ -115,7 +130,7 @@ main(int argc, char **argv)
         registrySuite(only);
 
     std::cout << "Graph compilation pipeline over the design registry "
-                 "(-O1 freeze vs -O0,\nv3 layout rehydration vs v2 "
+                 "(-O1 freeze vs -O0,\nrun-file rehydration vs "
                  "recompile-on-load)\n\n";
 
     fs::create_directories(storeDir);
@@ -125,7 +140,7 @@ main(int argc, char **argv)
     json.json().key("designs").beginArray();
 
     TablePrinter t({"Design", "Nodes", "Edges", "Cons", "Elim%",
-                    "Sim O0", "Sim O1", "Rehyd v2", "Rehyd v3"});
+                    "Sim O0", "Sim O1", "Recompile", "Open"});
     GeomeanAccum eliminations;
     opt::CompileStats totals;
     bool firstTotal = true;
@@ -155,7 +170,7 @@ main(int argc, char **argv)
         (void)o0.run();
         const double o0Seconds = o0Sw.seconds();
 
-        // Rehydration: v3 (persisted layout) vs v2 (recompile on load).
+        // Rehydration: persisted layout vs recompile from the snapshot.
         RunSnapshot snap;
         if (!o1.exportSnapshot(snap)) {
             std::cerr << e->name << ": exportSnapshot failed\n";
@@ -165,16 +180,14 @@ main(int argc, char **argv)
         meta.design = e->name;
         meta.engine = "omnisim";
         meta.fingerprint = io::designFingerprint(*fe.design);
-        const std::string v3Path = storeDir + "/" + e->name + ".v3.run";
-        const std::string v2Path = storeDir + "/" + e->name + ".v2.run";
-        if (!writeImage(v3Path, io::encodeRun(meta, snap)) ||
-            !writeImage(v2Path, io::encodeRunV2(meta, snap))) {
+        const std::string path = storeDir + "/" + e->name + ".run";
+        if (!writeImage(path, io::encodeRun(meta, snap))) {
             std::cerr << "cannot write run images under " << storeDir
                       << "\n";
             return 1;
         }
-        const double v2Seconds = timeRehydrate(v2Path, reps);
-        const double v3Seconds = timeRehydrate(v3Path, reps);
+        const double recompileSeconds = timeRecompile(snap, reps);
+        const double openSeconds = timeOpen(path, reps);
 
         eliminations.add(stats.elimination());
         if (firstTotal) {
@@ -198,7 +211,7 @@ main(int argc, char **argv)
                            stats.keptConstraints)),
                   strf("%.1f", stats.elimination() * 100.0),
                   fmtSeconds(o0Seconds), fmtSeconds(o1Seconds),
-                  fmtSeconds(v2Seconds), fmtSeconds(v3Seconds)});
+                  fmtSeconds(recompileSeconds), fmtSeconds(openSeconds)});
 
         json.json().beginObject();
         json.key("name").str(e->name);
@@ -213,10 +226,10 @@ main(int argc, char **argv)
         emitPasses(json.json(), stats);
         json.key("cold_o0_seconds").num(o0Seconds);
         json.key("cold_o1_seconds").num(o1Seconds);
-        json.key("rehydrate_v2_seconds").num(v2Seconds);
-        json.key("rehydrate_v3_seconds").num(v3Seconds);
+        json.key("rehydrate_recompile_seconds").num(recompileSeconds);
+        json.key("rehydrate_open_seconds").num(openSeconds);
         json.key("rehydrate_speedup")
-            .num(v3Seconds > 0 ? v2Seconds / v3Seconds : 0.0);
+            .num(openSeconds > 0 ? recompileSeconds / openSeconds : 0.0);
         json.json().endObject();
     }
     json.json().endArray();

@@ -1223,7 +1223,7 @@ OmniSim::run()
         OMNISIM_SPAN("omnisim.freeze");
         rd.compiled = std::make_unique<CompiledRun>(
             rd.nodes, rd.edges, rd.seed, rd.tables, depths, rd.constraints,
-            rd.tailNode, rd.tailSlack, opts_.optLevel, opts_.jobs);
+            rd.tailNode, rd.tailSlack, opts_.optLevel);
     }
     r.stats.graphNodes = nnodes;
     r.stats.graphEdges = rd.compiled->numEdges();
@@ -1329,13 +1329,12 @@ OmniSim::resimulate(const std::vector<std::uint32_t> &depths)
                    "depth vector size mismatch");
     omnisim_assert(rd.compiled != nullptr, "valid run has no compiled form");
 
-    const CompiledRun::Attempt a =
-        rd.compiled->resimulate(depths, opts_.jobs);
+    const CompiledRun::Attempt a = rd.compiled->resimulate(depths);
     mAttempts.add();
     if (a.viaDelta)
         mDelta.add();
     else
-        mFullRelax.add(); // fell back to a full Kahn relaxation pass
+        mFullRelax.add(); // fell back to a full relaxation pass
     mConeNodes.record(a.relaxedNodes);
     out.viaCompiled = true;
     out.viaDelta = a.viaDelta;

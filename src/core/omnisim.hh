@@ -80,12 +80,9 @@ struct OmniSimOptions
     opt::OptLevel optLevel = opt::OptLevel::O1;
 
     /**
-     * Relaxation lanes for the frozen run's solver (1 = serial,
-     * 0 = one per hardware thread): the baseline freeze solve and every
-     * resimulate() probe fan wide partition levels out across the
-     * RelaxPool worker team. Only consulted when the -O1 partition pass
-     * certified the design (and it clears the size threshold) — results
-     * are bit-identical at any value.
+     * Has no effect: the frozen run's solver is serial. Kept only
+     * because bench/omnibench still assigns it; remove it together with
+     * those assignments.
      */
     unsigned jobs = 1;
 };

@@ -138,13 +138,11 @@ struct EvalCache::PoolEntry
     /** Depth vector the pooled run executed under (dedup on refresh). */
     DepthVector baseDepths;
 
-    /** @param jobs relaxation lanes for rehydrated entries; a live
-     *  engine already carries its own OmniSimOptions::jobs budget. */
     IncrementalOutcome
-    resimulate(const DepthVector &depths, unsigned jobs) const
+    resimulate(const DepthVector &depths) const
     {
         return engine ? engine->resimulate(depths)
-                      : stored->resimulate(depths, jobs);
+                      : stored->resimulate(depths);
     }
 };
 
@@ -321,8 +319,7 @@ EvalCache::computeFresh(const DepthVector &depths, bool allowIncremental)
                 entries.push_back(p.get());
         }
         for (const PoolEntry *entry : entries) {
-            const IncrementalOutcome inc =
-                entry->resimulate(depths, opts_.jobs);
+            const IncrementalOutcome inc = entry->resimulate(depths);
             if (inc.reused) {
                 e.status = inc.result.status;
                 e.latency = inc.result.totalCycles;

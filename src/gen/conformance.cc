@@ -186,7 +186,6 @@ checkConformance(const GenSpec &spec, const ConformanceOptions &opts)
 
     OmniSimOptions omOpts;
     omOpts.verifyFinalization = opts.verifyFinalization;
-    omOpts.jobs = opts.jobs;
     OmniSim engine(cd, omOpts);
     SimResult om;
     try {
@@ -356,23 +355,6 @@ checkConformance(const GenSpec &spec, const ConformanceOptions &opts)
                         incrementalDiff("stored", sr, "live", inc);
                     !diff.empty())
                     div("io-round-trip", std::move(diff));
-                if (opts.withParallelOracle) {
-                    // Same StoredRun, same depths, wider lane budgets:
-                    // the level-barrier schedule must land on the
-                    // serial answer exactly. (Below the size threshold
-                    // the pool is never acquired — the probe then
-                    // certifies the fallback, which is the point.)
-                    for (const unsigned jobs : {2u, 8u}) {
-                        const IncrementalOutcome pr =
-                            stored->resimulate(depths, jobs);
-                        if (std::string diff = incrementalDiff(
-                                "parallel", pr, "serial", sr);
-                            !diff.empty())
-                            div("parallel-vs-serial",
-                                strf("jobs=%u: %s", jobs,
-                                     diff.c_str()));
-                    }
-                }
             } catch (const std::exception &e) {
                 div("io-round-trip", e.what());
             }

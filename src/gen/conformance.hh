@@ -28,13 +28,6 @@
  *                           rehydration must echo the meta block and
  *                           serve the same depth probes bit-identically
  *                           to the originating engine.
- *   parallel vs serial    — the rehydrated run re-answers every probe
- *                           at jobs=2 and jobs=8; the partitioned
- *                           level-barrier schedule must reproduce the
- *                           serial answer bit-for-bit (reuse decision,
- *                           reason, cycles, memories) at every lane
- *                           count. Small designs exercise the
- *                           threshold fallback through the same call.
  *   serve-protocol echo   — the result serialized through the serve
  *                           JSON layer and parsed back must be exact
  *                           (64-bit cycle counts and memory words
@@ -73,16 +66,6 @@ struct ConformanceOptions
     /** Freeze a second engine at -O0 and require bit-identical answers
      *  from every probe (the compile-pipeline exactness oracle). */
     bool withOptOracle = true;
-
-    /** Re-answer every stored-run probe at jobs=2 and jobs=8 and require
-     *  bit-identity with the serial answer (needs withIo). */
-    bool withParallelOracle = true;
-
-    /** Relaxation lanes of the primary engine (OmniSimOptions::jobs):
-     *  its freeze solve and every live probe run at this budget, so a
-     *  fuzz sweep with --jobs exercises the parallel paths against
-     *  every other oracle. Answers are bit-identical at any value. */
-    unsigned jobs = 1;
 
     /** Cross-check omnisim finalization against live commit cycles. */
     bool verifyFinalization = true;

@@ -62,13 +62,12 @@ struct GenConfig
 GenSpec generateSpec(std::uint64_t seed, const GenConfig &cfg = {});
 
 /**
- * The large regime (`omnisim_cli fuzz --large`, bench/parallel_relax):
- * hundreds-to-thousands of processes so the compiled graph clears
- * CompiledRun::kParallelMinNodes and the partition pass produces wide
- * levels worth fanning out. Probabilities are tamer than the default
- * mix — fewer non-blocking ends and near-zero deadlock injection — so
- * most seeds yield a successful baseline run to relax against; the
- * default config remains the semantic-coverage workhorse.
+ * The large regime (`omnisim_cli fuzz --large`): hundreds-to-thousands
+ * of processes, so compiled graphs reach thousands of layout nodes.
+ * Probabilities are tamer than the default mix — fewer non-blocking
+ * ends and near-zero deadlock injection — so most seeds yield a
+ * successful baseline run to relax against; the default config remains
+ * the semantic-coverage workhorse.
  */
 GenConfig largeGenConfig();
 

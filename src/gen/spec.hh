@@ -125,10 +125,9 @@ struct GenSpec
 };
 
 /** Spec size ceilings enforced by validateSpec(). Sized for the
- *  large-regime generator (gen::largeGenConfig), whose designs need
- *  thousands of processes to exercise the partitioned parallel
- *  relaxation paths; one engine thread is spawned per process, so
- *  materializing near the ceiling is a deliberate stress, not a
+ *  large-regime generator (gen::largeGenConfig), whose designs reach
+ *  thousands of processes; one engine thread is spawned per process,
+ *  so materializing near the ceiling is a deliberate stress, not a
  *  default. */
 constexpr std::uint32_t kMaxGenProcs = 4096;
 constexpr std::uint32_t kMaxGenEdges = 12288;

@@ -4,9 +4,6 @@
 
 #include "core/omnisim.hh"
 #include "obs/log.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
-#include "opt/partition.hh"
 #include "opt/pass_manager.hh"
 #include "support/logging.hh"
 
@@ -105,7 +102,7 @@ CompiledRun::CompiledRun(const std::vector<NodeInfo> &nodes,
                          const std::vector<QueryRecord> &constraints,
                          std::vector<std::uint64_t> tailNode,
                          std::vector<Cycles> tailSlack,
-                         opt::OptLevel level, unsigned jobs)
+                         opt::OptLevel level)
     : fwd_(0, {}), rev_(0, {})
 {
     omnisim_assert(seed.size() == nodes.size(),
@@ -128,18 +125,16 @@ CompiledRun::CompiledRun(const std::vector<NodeInfo> &nodes,
     structuralEdges_ = structural.size();
     baseWarEdges_ = countBaseWarEdges(nodes, tables, baseDepths);
     baseDepths_ = clampDepths(baseDepths);
-    freeze(jobs);
+    freeze();
 }
 
-CompiledRun::CompiledRun(const RunSnapshot &snap, opt::OptLevel level,
-                         unsigned jobs)
+CompiledRun::CompiledRun(const RunSnapshot &snap, opt::OptLevel level)
     : CompiledRun(snap.nodes, snap.edges, snap.seed, snap.tables,
                   snap.depths, snap.constraints, snap.tailNode,
-                  snap.tailSlack, level, jobs)
+                  snap.tailSlack, level)
 {}
 
-CompiledRun::CompiledRun(const RunSnapshot &snap, opt::RunLayout layout,
-                         unsigned jobs)
+CompiledRun::CompiledRun(const RunSnapshot &snap, opt::RunLayout layout)
     : lay_(std::move(layout)), fwd_(0, {}), rev_(0, {})
 {
     origNodes_ = snap.nodes.size();
@@ -147,7 +142,7 @@ CompiledRun::CompiledRun(const RunSnapshot &snap, opt::RunLayout layout,
     baseWarEdges_ =
         countBaseWarEdges(snap.nodes, snap.tables, snap.depths);
     baseDepths_ = clampDepths(snap.depths);
-    freeze(jobs);
+    freeze();
 }
 
 std::vector<std::uint32_t>
@@ -162,7 +157,36 @@ CompiledRun::clampDepths(const std::vector<std::uint32_t> &depths) const
 }
 
 void
-CompiledRun::freeze(unsigned jobs)
+CompiledRun::setOrder(const std::vector<std::uint32_t> &order)
+{
+    rank_.assign(order.size(), 0);
+    order_.assign(order.begin(), order.end());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        rank_[order[i]] = static_cast<std::uint32_t>(i);
+}
+
+bool
+CompiledRun::rankIsUniversal() const
+{
+    for (const opt::FifoLayout &fl : lay_.fifos) {
+        // Write w may wait on any read r < w (the WAR edge at depth
+        // w - r), so it must rank above every live read seen so far.
+        std::uint32_t reach = 0; // 1 + highest live read rank so far
+        for (std::size_t i = 0; i < fl.writeNode.size(); ++i) {
+            if (i > 0 && i <= fl.readNode.size() &&
+                fl.readNode[i - 1] != opt::kNoNode)
+                reach = std::max(reach, rank_[fl.readNode[i - 1]] + 1);
+            const std::uint32_t wn = fl.writeNode[i];
+            if (wn != opt::kNoNode && lay_.accBlockingWrite[wn] &&
+                rank_[wn] < reach)
+                return false;
+        }
+    }
+    return true;
+}
+
+void
+CompiledRun::freeze()
 {
     const std::size_t n = lay_.numNodes;
     fwd_ = CsrGraph(n, lay_.edges);
@@ -175,58 +199,36 @@ CompiledRun::freeze(unsigned jobs)
                             ++indegStructural_[v];
                         });
 
-    if (planUsable() && lay_.part.admits(baseDepths_)) {
-        // Partitioned freeze: the plan levelized structural + WAR at
-        // the clamped baseline (acyclic, or it would not be valid) and
-        // the baseline clears every FIFO's minimum admissible depth, so
-        // the level order is topological for the baseline overlay: the
-        // plan order doubles as the cached rank and the baseline solve
-        // itself can fan out over the worker team. Probes are admitted
-        // per call against the same thresholds (planAdmits).
-        planActive_ = true;
-        order_.assign(n, 0);
-        rank_.assign(n, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            order_[i] = lay_.part.order[i];
-            rank_[lay_.part.order[i]] = static_cast<std::uint32_t>(i);
-        }
+    // Worklist priority: the topological order of the *maximally
+    // constrained* overlay (every depth 1). When it ranks every live
+    // blocking write above all earlier live reads of its FIFO it orders
+    // the overlay at every probe-able depth vector (universal), and the
+    // baseline solve is one in-order sweep. Otherwise the baseline gets
+    // its own Kahn pass, and the rank falls back to the baseline order
+    // when depth-1 itself is infeasible (cyclic) — then shallowing
+    // probes may re-queue across the order, which still converges on a
+    // DAG and is bounded by the pop budget. Either way correctness is
+    // unaffected: rank only schedules the delta sweep.
+    std::vector<std::uint32_t> order;
+    const std::vector<std::uint32_t> ones(lay_.fifos.size(), 1);
+    const bool tight = relaxFull(ones, baseTime_, &order);
+    if (tight) {
+        setOrder(order);
+        universalOrder_ = rankIsUniversal();
+    }
+    OMNISIM_LOG_DEBUG("relax.freeze", "nodes=%llu universal=%d",
+                      static_cast<unsigned long long>(n),
+                      universalOrder_ ? 1 : 0);
+    if (universalOrder_) {
         baselineAcyclic_ = true;
-        RelaxPool::Lease lease;
-        if (n >= kParallelMinNodes)
-            lease = RelaxPool::global().tryAcquire(jobs);
-        relaxLeveled(baseDepths_, baseTime_, lease);
+        relaxInOrder(baseDepths_, baseTime_);
     } else {
-        // Baseline solve, keeping the topological order.
-        std::vector<std::uint32_t> order;
-        baselineAcyclic_ = relaxFull(baseDepths_, baseTime_, &order);
+        baselineAcyclic_ =
+            relaxFull(baseDepths_, baseTime_, tight ? nullptr : &order);
         if (!baselineAcyclic_)
             return; // engine reports a deadlock; nothing else is needed
-
-        // Worklist priority: prefer the topological order of the
-        // *maximally constrained* overlay (every depth 1). Any WAR(s)
-        // edge read(w-s) -> write(w) is transitively implied there
-        // (earlier reads chain forward to read(w-1), whose WAR(1) edge
-        // reaches the write), so this order stays valid for every
-        // probe-able depth vector and the delta pass converges in one
-        // sweep even when a FIFO shrinks. When depth-1 is globally
-        // infeasible (cyclic) the baseline order is used instead — then
-        // shallowing probes may re-queue across the order, which still
-        // converges on a DAG and is bounded by the pop budget. Either
-        // way correctness is unaffected: rank is a scheduling
-        // heuristic, never a dependence statement.
-        {
-            const std::vector<std::uint32_t> ones(lay_.fifos.size(), 1);
-            std::vector<Cycles> scratch;
-            std::vector<std::uint32_t> tight;
-            if (relaxFull(ones, scratch, &tight))
-                order = std::move(tight);
-        }
-        rank_.assign(n, 0);
-        order_.assign(n, 0);
-        for (std::size_t i = 0; i < order.size(); ++i) {
-            rank_[order[i]] = static_cast<std::uint32_t>(i);
-            order_[i] = order[i];
-        }
+        if (!tight)
+            setOrder(order);
     }
 
     baseTotal_ = lay_.floor;
@@ -352,49 +354,12 @@ CompiledRun::relaxFull(const std::vector<std::uint32_t> &depths,
 }
 
 void
-CompiledRun::relaxLeveled(const std::vector<std::uint32_t> &depths,
-                          std::vector<Cycles> &time,
-                          const RelaxPool::Lease &lease) const
+CompiledRun::relaxInOrder(const std::vector<std::uint32_t> &depths,
+                          std::vector<Cycles> &time) const
 {
-    const opt::PartitionPlan &plan = lay_.part;
-    const auto &lo = plan.levelOffsets;
-    const auto &co = plan.coneOffsets;
-    time.assign(lay_.numNodes, 0);
-
-    // Every in-edge of a level-l node — structural or WAR at the
-    // clamped depth — originates strictly below l, so recompute() only
-    // reads finalized entries and each lane writes disjoint time[]
-    // slots: no atomics, bit-identical at any lane count.
-    std::size_t cone = 0; // level boundaries are cone boundaries
-    const std::uint32_t levels = plan.levels();
-    for (std::uint32_t l = 0; l < levels; ++l) {
-        const std::uint32_t lb = lo[l];
-        const std::uint32_t le = lo[l + 1];
-        std::size_t coneEnd = cone;
-        while (co[coneEnd] < le)
-            ++coneEnd;
-        if (lease.active() && le - lb >= kMinParallelLevelWidth &&
-            coneEnd - cone > 1) {
-            OMNISIM_SPAN_HOT("relax.level");
-            const std::size_t cb = cone;
-            lease.parallelFor(
-                coneEnd - cone, 1,
-                [&](std::size_t b, std::size_t e) {
-                    for (std::size_t c = b; c < e; ++c)
-                        for (std::uint32_t i = co[cb + c];
-                             i < co[cb + c + 1]; ++i) {
-                            const std::uint64_t v = order_[i];
-                            time[v] = recompute(v, time, depths);
-                        }
-                });
-        } else {
-            for (std::uint32_t i = lb; i < le; ++i) {
-                const std::uint64_t v = order_[i];
-                time[v] = recompute(v, time, depths);
-            }
-        }
-        cone = coneEnd;
-    }
+    time.resize(lay_.numNodes);
+    for (const std::uint64_t v : order_)
+        time[v] = recompute(v, time, depths);
 }
 
 Cycles
@@ -428,8 +393,7 @@ CompiledRun::relaxDelta(const std::vector<std::uint32_t> &depths,
                         const std::vector<std::size_t> &changedFifos,
                         std::vector<Cycles> &cur,
                         std::vector<std::uint8_t> &changedFlag,
-                        std::vector<std::uint64_t> &changedNodes,
-                        const RelaxPool::Lease &lease) const
+                        std::vector<std::uint64_t> &changedNodes) const
 {
     const std::size_t n = lay_.numNodes;
 
@@ -485,77 +449,16 @@ CompiledRun::relaxDelta(const std::vector<std::uint32_t> &depths,
         }
     }
 
-    if (planAdmits(depths)) {
-        // Level-synchronous single sweep. The cached rank is the plan
-        // order, so positions group by level and — the probe being
-        // admitted — every out-overlay edge lands strictly level-up:
-        // one pass reaches the fixed point and
-        // no pending marker can fall behind the sweep. Recomputation of
-        // a level's pending batch is data-parallel (reads settle in
-        // earlier levels only); the commit — compare, changed-cone
-        // budget, successor marking — stays on the caller thread in
-        // ascending position order, so the decision sequence is
-        // byte-for-byte the serial one at any lane count.
-        const auto &lo = lay_.part.levelOffsets;
-        const std::uint32_t levels = lay_.part.levels();
-        std::uint32_t l = 0;
-        while (l < levels && lo[l + 1] <= minPos)
-            ++l;
-        std::vector<std::uint32_t> batch;
-        std::vector<Cycles> newT;
-        for (; l < levels; ++l) {
-            batch.clear();
-            for (std::uint32_t i = lo[l]; i < lo[l + 1]; ++i) {
-                if (pendingAt[i]) {
-                    pendingAt[i] = 0;
-                    batch.push_back(i);
-                }
-            }
-            if (batch.empty())
-                continue;
-            newT.resize(batch.size());
-            const auto recomputeBatch = [&](std::size_t b,
-                                            std::size_t e) {
-                for (std::size_t k = b; k < e; ++k)
-                    newT[k] =
-                        recompute(order_[batch[k]], cur, depths);
-            };
-            if (lease.active() &&
-                batch.size() >= kMinParallelLevelWidth)
-                lease.parallelFor(batch.size(), opt::kConeGrain,
-                                  recomputeBatch);
-            else
-                recomputeBatch(0, batch.size());
-            for (std::size_t k = 0; k < batch.size(); ++k) {
-                const std::uint64_t v = order_[batch[k]];
-                if (newT[k] == cur[v])
-                    continue;
-                cur[v] = newT[k];
-                if (!changedFlag[v]) {
-                    changedFlag[v] = 1;
-                    changedNodes.push_back(v);
-                    if (changedNodes.size() > n / 8)
-                        return false;
-                }
-                forEachOutOverlay(v, depths,
-                                  [&](std::uint64_t dst, Cycles) {
-                                      pendingAt[rank_[dst]] = 1;
-                                  });
-            }
-        }
-        return true;
-    }
-
     // Sweep the cached topological order from the first pending node,
     // recomputing pending nodes exactly and marking out-neighbours
     // pending on change. When the cached rank orders the probe's
-    // overlay (the common case — see freeze()), one sweep reaches the
-    // unique longest-path fixed point; a non-admitted probe's WAR edge
-    // pointing across the order, a broken read chain, or a genuine
-    // timing cycle leaves a pending node *behind* the sweep position,
-    // handled by bounded re-sweeps — chaotic re-evaluation still
-    // converges on any DAG — before handing the verdict to the full
-    // Kahn pass (which is what proves a cycle).
+    // overlay (always, under a universal order — see freeze()), one
+    // sweep reaches the unique longest-path fixed point; otherwise a WAR
+    // edge pointing across the order or a genuine timing cycle leaves a
+    // pending node *behind* the sweep position, handled by bounded
+    // re-sweeps — chaotic re-evaluation still converges on any DAG —
+    // before handing the verdict to the full Kahn pass (which is what
+    // proves a cycle).
     for (int sweep = 0; sweep < 4; ++sweep) {
         std::size_t nextMin = n;
         for (std::size_t i = minPos; i < n; ++i) {
@@ -643,8 +546,7 @@ CompiledRun::finishWithTimes(const std::vector<Cycles> &time,
 }
 
 CompiledRun::Attempt
-CompiledRun::resimulate(const std::vector<std::uint32_t> &depths,
-                        unsigned jobs) const
+CompiledRun::resimulate(const std::vector<std::uint32_t> &depths) const
 {
     omnisim_assert(baselineAcyclic_,
                    "resimulate against an infeasible baseline");
@@ -677,44 +579,18 @@ CompiledRun::resimulate(const std::vector<std::uint32_t> &depths,
         return a;
     }
 
-    // One lease covers the whole attempt (delta + any full fallback).
-    // Small designs, plan-less layouts, and non-admitted probes never
-    // touch the team; a lost acquire race (cross-run parallelism
-    // already owns the cores) just means this attempt relaxes serially
-    // — same bits either way.
-    static obs::Counter &mParallelRuns =
-        obs::Registry::global().counter("relax.runs.parallel");
-    static obs::Counter &mSerialRuns =
-        obs::Registry::global().counter("relax.runs.serial");
-    RelaxPool::Lease lease;
-    const bool admitted = planAdmits(clamped);
-    if (admitted && lay_.numNodes >= kParallelMinNodes) {
-        lease = RelaxPool::global().tryAcquire(jobs);
-        OMNISIM_LOG_TRACE("relax.admit",
-                          "nodes=%llu lanes=%u parallel=%d",
-                          static_cast<unsigned long long>(lay_.numNodes),
-                          lease.lanes(), lease.active() ? 1 : 0);
-    } else {
-        OMNISIM_LOG_TRACE("relax.reject",
-                          "nodes=%llu admitted=%d reason=%s",
-                          static_cast<unsigned long long>(lay_.numNodes),
-                          admitted ? 1 : 0,
-                          admitted ? "below_min_nodes" : "plan_rejects");
-    }
-    (lease.active() ? mParallelRuns : mSerialRuns).add();
-
     std::vector<Cycles> cur;
     std::vector<std::uint8_t> changedFlag;
     std::vector<std::uint64_t> changedNodes;
     if (!relaxDelta(clamped, changedFifos, cur, changedFlag,
-                    changedNodes, lease)) {
+                    changedNodes)) {
         // Delta too large or the worklist hit its budget (the only way
-        // a timing cycle manifests): one exact full pass decides. An
-        // admitted probe is certified acyclic by the plan's depth
-        // thresholds, so the leveled pass needs no feasibility verdict.
+        // a timing cycle manifests): one exact full pass decides. A
+        // universal order is topological for every clamped probe, so
+        // the in-order sweep needs no feasibility verdict.
         std::vector<Cycles> time;
-        if (planAdmits(clamped)) {
-            relaxLeveled(clamped, time, lease);
+        if (universalOrder_) {
+            relaxInOrder(clamped, time);
         } else if (!relaxFull(clamped, time, nullptr)) {
             a.status = Attempt::Status::Infeasible;
             return a;

@@ -27,29 +27,28 @@
  * unique longest-path fixed point on any DAG, and a bounded pop budget
  * catches the cyclic (timing-infeasible) case. When the delta is too
  * large, the budget trips, or a depth vector shrinks a FIFO into a
- * potential cycle, the attempt falls back to a full Kahn pass — still
- * over the compiled CSR, with WAR edges overlaid functionally, so even
- * the fallback never rebuilds a graph.
+ * potential cycle, the attempt falls back to a full relaxation pass —
+ * still over the compiled CSR, with WAR edges overlaid functionally, so
+ * even the fallback never rebuilds a graph.
  *
  * Probed depths are clamped per FIFO to writes+1 first: no WAR edge
  * exists beyond that and every recorded write-kind constraint index is
  * <= writes+1, so deeper depths are provably indistinguishable — which
  * is also what makes the -O1 lattice analysis finite.
  *
- * When the -O1 partition pass produced a valid PartitionPlan (see
- * opt/layout.hh) and the probe *admits* — every clamped depth clears
- * its FIFO's plan-recorded minimum admissible depth — both the full
- * pass and the delta sweep run *level-synchronously*: all in-edges of a
- * level then originate in earlier levels, so each level's nodes are
- * recomputed independently — across the RelaxPool worker team when a
- * resimulate(depths, jobs) caller asked for lanes and the design is
- * large enough — and every order-sensitive decision (commit order,
- * changed-cone budget) happens on the caller thread at a level barrier.
- * Results are therefore bit-identical at any thread count, and
- * identical to the serial engine. Designs without a valid plan (cyclic
- * baseline overlay) and probes too shallow to admit keep the serial
- * paths below; admission is a pure function of (plan, depths), so a
- * live engine and a rehydrated StoredRun always pick the same path.
+ * The cached order is the Kahn order of the *maximally constrained*
+ * overlay (every depth 1). freeze() certifies it *universal* when, in
+ * every FIFO, each live blocking write ranks after every live read with
+ * a smaller index: at depth s the WAR edge runs from read w-s to write
+ * w, so a universal order is topological for every clamped probe. Then
+ * no probe can be infeasible, the baseline solve and every full
+ * fallback are one in-order sweep recomputing each node from the
+ * reverse CSR, and the delta sweep never has to re-sweep. Without the
+ * certificate (a cyclic depth-1 overlay, or lazy write-stall mode) the
+ * delta sweep allows bounded re-sweeps and the full fallback is the
+ * Kahn pass, which is also what proves infeasibility. The certificate
+ * is a pure function of the frozen structure, so a live engine and a
+ * rehydrated StoredRun always pick the same path.
  *
  * Every path is bit-identical to the pre-compiled reference
  * implementation (OmniSim::resimulateReference): identical reuse
@@ -66,7 +65,6 @@
 #include <vector>
 
 #include "graph/csr.hh"
-#include "graph/relax_pool.hh"
 #include "graph/simgraph.hh"
 #include "opt/layout.hh"
 #include "runtime/fifo_table.hh"
@@ -89,15 +87,6 @@ struct RunSnapshot; // core/omnisim.hh
 class CompiledRun
 {
   public:
-    /** Serial fallback: designs below this node count never try to
-     *  lease the worker team (a small registry design pays nothing for
-     *  the parallel machinery). */
-    static constexpr std::size_t kParallelMinNodes = 2048;
-
-    /** Levels narrower than this relax inline on the caller even while
-     *  a lease is held — fan-out cost would exceed the work. */
-    static constexpr std::uint32_t kMinParallelLevelWidth = 128;
-
     /** Outcome of one compiled re-simulation attempt. */
     struct Attempt
     {
@@ -144,8 +133,6 @@ class CompiledRun
      * @param tailNode    per-module last-op node (module tail anchor).
      * @param tailSlack   per-module cycles between last op and return.
      * @param level       optimization level (see opt/opt.hh).
-     * @param jobs        relaxation lanes for the baseline solve
-     *                    (1 = serial, 0 = one per hardware thread).
      */
     CompiledRun(const std::vector<NodeInfo> &nodes,
                 const std::vector<CsrGraph::EdgeSpec> &structural,
@@ -155,8 +142,7 @@ class CompiledRun
                 const std::vector<QueryRecord> &constraints,
                 std::vector<std::uint64_t> tailNode,
                 std::vector<Cycles> tailSlack,
-                opt::OptLevel level = opt::OptLevel::O1,
-                unsigned jobs = 1);
+                opt::OptLevel level = opt::OptLevel::O1);
 
     /**
      * Rehydration constructor: freeze a run deserialized in a fresh
@@ -169,23 +155,27 @@ class CompiledRun
      * not tolerated, here.
      */
     explicit CompiledRun(const RunSnapshot &snap,
-                         opt::OptLevel level = opt::OptLevel::O1,
-                         unsigned jobs = 1);
+                         opt::OptLevel level = opt::OptLevel::O1);
 
     /**
-     * Fast rehydration from a layout persisted in an OMSIMRUN v3 file:
+     * Fast rehydration from a layout persisted in an OMSIMRUN file:
      * skips the pass pipeline (and its whole-graph analyses) and only
      * re-solves the already-optimized layout. The layout must have been
-     * produced by PassManager over this same snapshot (the v3 decoder
+     * produced by PassManager over this same snapshot (the decoder
      * validates structural invariants; equivalence is the writer's
      * contract).
      */
-    CompiledRun(const RunSnapshot &snap, opt::RunLayout layout,
-                unsigned jobs = 1);
+    CompiledRun(const RunSnapshot &snap, opt::RunLayout layout);
 
     /** @return false when even the baseline WAR overlay has a timing
      *  cycle (only reachable in lazy write-stall mode). */
     bool baselineAcyclic() const { return baselineAcyclic_; }
+
+    /** @return true when freeze() certified the cached order universal:
+     *  topological for the WAR overlay at every clamped depth vector, so
+     *  no probe is infeasible and every full relaxation is one in-order
+     *  sweep (see the file comment). */
+    bool universalOrder() const { return universalOrder_; }
 
     /** @return baseline total latency (max node time + duration, max
      *  module tail, collapsed-node floor). */
@@ -212,39 +202,19 @@ class CompiledRun
      * regardless of optimization level.
      *
      * @param depths one depth per FIFO (size == fifo count).
-     * @param jobs   relaxation lanes (1 = serial, 0 = one per hardware
-     *               thread). Only consulted when the layout carries a
-     *               valid partition plan that admits the clamped probe
-     *               and the design clears kParallelMinNodes; results
-     *               are bit-identical at any value. Lanes beyond
-     *               RelaxPool's ceiling, or when the team is already
-     *               leased by a concurrent caller, degrade gracefully
-     *               toward serial.
      */
-    Attempt resimulate(const std::vector<std::uint32_t> &depths,
-                       unsigned jobs = 1) const;
+    Attempt resimulate(const std::vector<std::uint32_t> &depths) const;
 
   private:
     /** Shared tail of every constructor: solve the layout. */
-    void freeze(unsigned jobs);
+    void freeze();
 
-    /** True when the layout carries a well-formed partition plan at
-     *  all (freeze() additionally requires the baseline to admit
-     *  before activating it). */
-    bool planUsable() const
-    {
-        return lay_.part.valid && lay_.part.order.size() == lay_.numNodes;
-    }
+    /** Adopt a topological order as the cached rank. */
+    void setOrder(const std::vector<std::uint32_t> &order);
 
-    /** True when a *clamped* probe may take the leveled relaxation
-     *  paths: freeze() adopted the plan order as the cached rank and
-     *  every probed depth clears its FIFO's minimum admissible depth.
-     *  A pure function of the frozen structure and the probe, so path
-     *  selection is identical in every replica of this run. */
-    bool planAdmits(const std::vector<std::uint32_t> &clamped) const
-    {
-        return planActive_ && lay_.part.admits(clamped);
-    }
+    /** The universal-order certificate over the cached rank (one pass
+     *  per FIFO with a running maximum of read ranks). */
+    bool rankIsUniversal() const;
 
     /** Clamp a probed depth vector into the per-FIFO lattice. */
     std::vector<std::uint32_t>
@@ -257,25 +227,20 @@ class CompiledRun
                    std::vector<Cycles> &time,
                    std::vector<std::uint32_t> *order) const;
 
-    /** Level-barrier full relaxation over the partition plan — the
-     *  parallelizable equivalent of relaxFull for admitted probes
-     *  (acyclic by the admission contract, so no return value). Wide
-     *  levels fan out over the lease's lanes; an inactive lease runs
-     *  serially. */
-    void relaxLeveled(const std::vector<std::uint32_t> &depths,
-                      std::vector<Cycles> &time,
-                      const RelaxPool::Lease &lease) const;
+    /** Full relaxation as one sweep in cached rank order, recomputing
+     *  each node from its in-edges. Exact only under a universal order
+     *  (every in-edge then originates earlier in the sweep). Depths must
+     *  already be clamped. */
+    void relaxInOrder(const std::vector<std::uint32_t> &depths,
+                      std::vector<Cycles> &time) const;
 
     /** Delta worklist relaxation. @return false to request the full
-     *  fallback (budget exceeded / possible cycle). Admitted probes
-     *  take a level-synchronous single sweep (parallel recompute,
-     *  serial in-order commit); others take the serial rank sweep. */
+     *  fallback (budget exceeded / possible cycle). */
     bool relaxDelta(const std::vector<std::uint32_t> &depths,
                     const std::vector<std::size_t> &changedFifos,
                     std::vector<Cycles> &cur,
                     std::vector<std::uint8_t> &changedFlag,
-                    std::vector<std::uint64_t> &changedNodes,
-                    const RelaxPool::Lease &lease) const;
+                    std::vector<std::uint64_t> &changedNodes) const;
 
     /** Recompute one node's time from its in-edges under a time view. */
     Cycles recompute(std::uint64_t v, const std::vector<Cycles> &cur,
@@ -306,9 +271,7 @@ class CompiledRun
 
     // ---- Baseline solution ------------------------------------------
     bool baselineAcyclic_ = false;
-    /** freeze() adopted the partition plan's level order as the cached
-     *  rank (requires planUsable() and a baseline that admits). */
-    bool planActive_ = false;
+    bool universalOrder_ = false;
     std::vector<Cycles> baseTime_;
     Cycles baseTotal_ = 0;
     std::vector<std::uint32_t> rank_;      ///< Cached topo position.

@@ -6,7 +6,6 @@
 
 #include "design/design.hh"
 #include "io/serial.hh"
-#include "opt/partition.hh"
 #include "opt/pass_manager.hh"
 #include "opt/verify.hh"
 #include "support/logging.hh"
@@ -239,7 +238,7 @@ decodeSnapshot(ByteReader &r, RunSnapshot &snap)
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-layout section (v3). Only the layout's defining data is
+// Compiled-layout section. Only the layout's defining data is
 // persisted: the access maps, depth caps, blocking-write counts, the
 // derived LayoutCons fields, and the statistics counters are all
 // recomputed from the snapshot on decode, so the section cannot drift
@@ -247,7 +246,7 @@ decodeSnapshot(ByteReader &r, RunSnapshot &snap)
 // ---------------------------------------------------------------------------
 
 void
-encodeLayout(ByteWriter &w, const opt::RunLayout &lay, bool withPlan)
+encodeLayout(ByteWriter &w, const opt::RunLayout &lay)
 {
     w.u8(static_cast<std::uint8_t>(lay.level));
     w.u64(lay.numNodes);
@@ -286,32 +285,13 @@ encodeLayout(ByteWriter &w, const opt::RunLayout &lay, bool withPlan)
         w.u64(p.edgesEliminated);
         w.u64(p.constraintsEliminated);
     }
-
-    // Partition-plan section (v4).
-    if (!withPlan)
-        return;
-    w.u8(lay.part.valid ? 1 : 0);
-    w.u64(lay.part.order.size());
-    for (const std::uint32_t v : lay.part.order)
-        w.u32(v);
-    w.u64(lay.part.levelOffsets.size());
-    for (const std::uint32_t o : lay.part.levelOffsets)
-        w.u32(o);
-    w.u64(lay.part.coneOffsets.size());
-    for (const std::uint32_t o : lay.part.coneOffsets)
-        w.u32(o);
-    w.u64(lay.part.frontierEdges);
-    w.u32(lay.part.maxLevelWidth);
-    w.u64(lay.part.minSafeDepth.size());
-    for (const std::uint32_t d : lay.part.minSafeDepth)
-        w.u32(d);
 }
 
 /** Read the raw layout section; only the persisted fields are filled
  *  (LayoutCons carries origIndex only). Callers must validateRunLayout
  *  and then hydrateLayout before the layout is usable. */
 void
-decodeLayout(ByteReader &r, opt::RunLayout &lay, bool hasPlan)
+decodeLayout(ByteReader &r, opt::RunLayout &lay)
 {
     const std::uint8_t level = r.u8();
     if (level > static_cast<std::uint8_t>(opt::OptLevel::O1))
@@ -370,129 +350,6 @@ decodeLayout(ByteReader &r, opt::RunLayout &lay, bool hasPlan)
         p.edgesEliminated = r.u64();
         p.constraintsEliminated = r.u64();
     }
-
-    if (!hasPlan)
-        return; // v3: the caller re-derives the partition plan
-    lay.part.valid = r.u8() != 0;
-    const std::size_t orderCount = r.count(4);
-    lay.part.order.resize(orderCount);
-    for (std::uint32_t &v : lay.part.order)
-        v = r.u32();
-    const std::size_t levelCount = r.count(4);
-    lay.part.levelOffsets.resize(levelCount);
-    for (std::uint32_t &o : lay.part.levelOffsets)
-        o = r.u32();
-    const std::size_t coneCount = r.count(4);
-    lay.part.coneOffsets.resize(coneCount);
-    for (std::uint32_t &o : lay.part.coneOffsets)
-        o = r.u32();
-    lay.part.frontierEdges = r.u64();
-    lay.part.maxLevelWidth = r.u32();
-    const std::size_t msCount = r.count(4);
-    lay.part.minSafeDepth.resize(msCount);
-    for (std::uint32_t &d : lay.part.minSafeDepth)
-        d = r.u32();
-}
-
-/** Check every invariant of a decoded partition plan the parallel
- *  engine's unchecked indexing (and its level-barrier correctness
- *  argument) relies on. Must run *after* hydrateLayout — the depth
- *  threshold recomputation reads the rebuilt access maps.
- *  @throws FatalError naming the first violation. */
-void
-validatePartitionPlan(const opt::RunLayout &lay)
-{
-    const opt::PartitionPlan &p = lay.part;
-    if (!p.valid) {
-        // An invalid plan carries no arrays; the engine ignores it.
-        if (!p.order.empty() || !p.levelOffsets.empty() ||
-            !p.coneOffsets.empty() || !p.minSafeDepth.empty())
-            omnisim_fatal("run layout invalid: serial partition plan "
-                          "carries level data");
-        return;
-    }
-    const std::size_t n = lay.numNodes;
-    if (p.order.size() != n)
-        omnisim_fatal("run layout invalid: partition orders %zu of %zu "
-                      "nodes", p.order.size(), n);
-    const auto checkOffsets = [&](const std::vector<std::uint32_t> &off,
-                                  const char *what) {
-        if (off.empty() || off.front() != 0 || off.back() != n)
-            omnisim_fatal("run layout invalid: partition %s offsets do "
-                          "not span the node order", what);
-        for (std::size_t i = 1; i < off.size(); ++i)
-            if (off[i] < off[i - 1])
-                omnisim_fatal("run layout invalid: partition %s offsets "
-                              "decrease", what);
-    };
-    checkOffsets(p.levelOffsets, "level");
-    checkOffsets(p.coneOffsets, "cone");
-    // Every level boundary must also be a cone boundary (the engine
-    // advances both cursors in lockstep).
-    for (std::size_t l = 0, c = 0; l < p.levelOffsets.size(); ++l) {
-        while (c < p.coneOffsets.size() &&
-               p.coneOffsets[c] < p.levelOffsets[l])
-            ++c;
-        if (c >= p.coneOffsets.size() ||
-            p.coneOffsets[c] != p.levelOffsets[l])
-            omnisim_fatal("run layout invalid: partition cone offsets "
-                          "do not refine the level offsets");
-    }
-
-    // The order must be a permutation; levels assigned through it.
-    std::vector<std::uint32_t> levelOf(n, 0);
-    std::vector<std::uint8_t> seen(n, 0);
-    std::uint32_t maxWidth = 0;
-    for (std::size_t l = 0; l + 1 < p.levelOffsets.size(); ++l) {
-        maxWidth = std::max(maxWidth,
-                            p.levelOffsets[l + 1] - p.levelOffsets[l]);
-        for (std::uint32_t i = p.levelOffsets[l];
-             i < p.levelOffsets[l + 1]; ++i) {
-            const std::uint32_t v = p.order[i];
-            if (v >= n || seen[v])
-                omnisim_fatal("run layout invalid: partition order is "
-                              "not a permutation of the layout nodes");
-            seen[v] = 1;
-            levelOf[v] = static_cast<std::uint32_t>(l);
-        }
-    }
-    if (maxWidth != p.maxLevelWidth)
-        omnisim_fatal("run layout invalid: partition level width %u "
-                      "recorded as %u", maxWidth, p.maxLevelWidth);
-
-    // Structural edges must climb strictly level-up...
-    for (const auto &e : lay.edges)
-        if (levelOf[e.src] >= levelOf[e.dst])
-            omnisim_fatal("run layout invalid: partition level order "
-                          "violates a structural edge");
-    // ...and the persisted per-FIFO minimum admissible depths must be
-    // exactly what those levels imply: the engine trusts them to admit
-    // probes onto the leveled paths without rechecking any WAR edge, so
-    // an understated threshold would silently misorder a relaxation.
-    if (p.minSafeDepth.size() != lay.fifos.size())
-        omnisim_fatal("run layout invalid: partition records %zu depth "
-                      "thresholds for %zu FIFOs",
-                      p.minSafeDepth.size(), lay.fifos.size());
-    const std::vector<std::uint32_t> want = opt::minSafeDepths(lay, levelOf);
-    for (std::size_t f = 0; f < want.size(); ++f)
-        if (want[f] != p.minSafeDepth[f])
-            omnisim_fatal("run layout invalid: partition depth "
-                          "threshold of FIFO %zu is %u, levels imply %u",
-                          f, p.minSafeDepth[f], want[f]);
-
-    // The frontier count is derived data; keep the writer honest.
-    std::vector<std::uint32_t> coneOf(n, 0);
-    for (std::size_t c = 0; c + 1 < p.coneOffsets.size(); ++c)
-        for (std::uint32_t i = p.coneOffsets[c]; i < p.coneOffsets[c + 1];
-             ++i)
-            coneOf[p.order[i]] = static_cast<std::uint32_t>(c);
-    std::uint64_t frontier = 0;
-    for (const auto &e : lay.edges)
-        if (coneOf[e.src] != coneOf[e.dst])
-            ++frontier;
-    if (frontier != p.frontierEdges)
-        omnisim_fatal("run layout invalid: partition frontier count "
-                      "mismatch");
 }
 
 /** Fill in everything validateRunLayout confirmed derivable: the kept
@@ -595,32 +452,12 @@ depthVectorHash(const std::vector<std::uint32_t> &depths)
 // File image.
 // ---------------------------------------------------------------------------
 
-namespace
-{
-
 std::string
-sealImage(std::uint32_t version, const ByteWriter &payload)
-{
-    ByteWriter file;
-    file.raw(kRunMagic, sizeof(kRunMagic));
-    file.u32(version);
-    file.u64(fnv1a(payload.bytes()));
-    file.u64(payload.size());
-    file.raw(payload.bytes().data(), payload.size());
-    return file.take();
-}
-
-} // namespace
-
-namespace
-{
-
-std::string
-encodeRunAt(std::uint32_t version, const RunFileMeta &meta,
-            const RunSnapshot &snap, const opt::RunLayout *layout)
+encodeRun(const RunFileMeta &meta, const RunSnapshot &snap,
+          const opt::RunLayout *layout)
 {
     opt::RunLayout recompiled;
-    if (version >= 3 && !layout) {
+    if (!layout) {
         // No layout supplied: run the pass pipeline here. It is
         // deterministic, so the persisted layout matches what any
         // default-options engine computed for this snapshot.
@@ -642,43 +479,27 @@ encodeRunAt(std::uint32_t version, const RunFileMeta &meta,
     payload.str(meta.engine);
     payload.u64(meta.fingerprint);
     encodeSnapshot(payload, snap);
-    if (version >= 3)
-        encodeLayout(payload, *layout, /*withPlan=*/version >= 4);
-    return sealImage(version, payload);
-}
+    encodeLayout(payload, *layout);
 
-} // namespace
-
-std::string
-encodeRun(const RunFileMeta &meta, const RunSnapshot &snap,
-          const opt::RunLayout *layout)
-{
-    return encodeRunAt(kRunFormatVersion, meta, snap, layout);
-}
-
-std::string
-encodeRunV2(const RunFileMeta &meta, const RunSnapshot &snap)
-{
-    return encodeRunAt(2, meta, snap, nullptr);
-}
-
-std::string
-encodeRunV3(const RunFileMeta &meta, const RunSnapshot &snap,
-            const opt::RunLayout *layout)
-{
-    return encodeRunAt(3, meta, snap, layout);
+    ByteWriter file;
+    file.raw(kRunMagic, sizeof(kRunMagic));
+    file.u32(kRunFormatVersion);
+    file.u64(fnv1a(payload.bytes()));
+    file.u64(payload.size());
+    file.raw(payload.bytes().data(), payload.size());
+    return file.take();
 }
 
 void
 decodeRun(std::string_view bytes, RunFileMeta &meta, RunSnapshot &snap)
 {
-    std::optional<opt::RunLayout> layout;
+    opt::RunLayout layout;
     decodeRun(bytes, meta, snap, layout);
 }
 
 void
 decodeRun(std::string_view bytes, RunFileMeta &meta, RunSnapshot &snap,
-          std::optional<opt::RunLayout> &layout)
+          opt::RunLayout &layout)
 {
     ByteReader r(bytes);
     const std::string_view magic = r.raw(sizeof(kRunMagic));
@@ -704,35 +525,22 @@ decodeRun(std::string_view bytes, RunFileMeta &meta, RunSnapshot &snap,
     meta.engine = pr.str();
     meta.fingerprint = pr.u64();
     snap = RunSnapshot{};
-    layout.reset();
+    layout = opt::RunLayout{};
     decodeSnapshot(pr, snap);
-    if (version >= 3) {
-        layout.emplace();
-        decodeLayout(pr, *layout, /*hasPlan=*/version >= 4);
-    }
+    decodeLayout(pr, layout);
     if (!pr.atEnd())
         omnisim_fatal("run file corrupt: %zu trailing bytes after the "
-                      "snapshot", pr.remaining());
+                      "layout", pr.remaining());
     validateSnapshot(snap);
-    if (layout) {
-        validateRunLayout(snap, *layout);
-        hydrateLayout(snap, *layout);
-        if (version >= 4)
-            validatePartitionPlan(*layout);
-        else if (layout->level != opt::OptLevel::O0)
-            // v3 file: re-derive the partition plan. The builder is
-            // deterministic over the hydrated layout, so the rehydrated
-            // run matches what a v4 writer would have persisted.
-            layout->part = opt::buildPartitionPlan(*layout, snap.depths);
-        if (opt::verifyEnabled()) {
-            // The IR verifier re-checks every persisted-layout
-            // invariant from scratch (the input-dependent conservation
-            // checks are skipped — the compile input is gone).
-            opt::VerifyContext ctx;
-            ctx.pass = "rehydrate";
-            opt::verifyLayout(*layout, ctx);
-            opt::verifyPartitionPlan(*layout, snap.depths, ctx);
-        }
+    validateRunLayout(snap, layout);
+    hydrateLayout(snap, layout);
+    if (opt::verifyEnabled()) {
+        // The IR verifier re-checks every persisted-layout invariant
+        // from scratch (the input-dependent conservation checks are
+        // skipped — the compile input is gone).
+        opt::VerifyContext ctx;
+        ctx.pass = "rehydrate";
+        opt::verifyLayout(layout, ctx);
     }
 }
 
@@ -907,9 +715,9 @@ StoredRun::StoredRun(RunSnapshot snap, RunFileMeta meta,
                      std::optional<opt::RunLayout> layout)
     : meta_(std::move(meta)), snap_(std::move(snap))
 {
-    // A persisted layout (v3 file) skips the pass pipeline entirely;
-    // otherwise recompile — deterministic, so both paths freeze the
-    // same structure.
+    // A persisted layout (opened file) skips the pass pipeline
+    // entirely; otherwise recompile — deterministic, so both paths
+    // freeze the same structure.
     compiled_ = layout
                     ? std::make_unique<CompiledRun>(snap_,
                                                     std::move(*layout))
@@ -946,15 +754,14 @@ StoredRun::open(const std::string &path)
 
     RunFileMeta meta;
     RunSnapshot snap;
-    std::optional<opt::RunLayout> layout;
+    opt::RunLayout layout;
     decodeRun(bytes, meta, snap, layout); // validates both
     return std::unique_ptr<StoredRun>(new StoredRun(
         std::move(snap), std::move(meta), std::move(layout)));
 }
 
 IncrementalOutcome
-StoredRun::resimulate(const std::vector<std::uint32_t> &depths,
-                      unsigned jobs) const
+StoredRun::resimulate(const std::vector<std::uint32_t> &depths) const
 {
     IncrementalOutcome out;
     if (depths.size() != snap_.tables.size()) {
@@ -963,7 +770,7 @@ StoredRun::resimulate(const std::vector<std::uint32_t> &depths,
         return out;
     }
 
-    const CompiledRun::Attempt a = compiled_->resimulate(depths, jobs);
+    const CompiledRun::Attempt a = compiled_->resimulate(depths);
     out.viaCompiled = true;
     out.viaDelta = a.viaDelta;
     switch (a.status) {

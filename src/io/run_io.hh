@@ -13,26 +13,18 @@
  *   payload checksum u64       FNV-1a over the payload bytes
  *   payload size     u64
  *   payload          bytes     meta (design, engine, fingerprint)
- *                              followed by the RunSnapshot sections;
- *                              v3 appends the compiled-layout section
- *                              (opt level, node remap, optimized graph,
- *                              kept-constraint indices, pass stats);
- *                              v4 appends the partition-plan section
- *                              (level order, level/cone offsets,
- *                              frontier count, per-FIFO admission
- *                              depth thresholds) to the layout
+ *                              followed by the RunSnapshot sections
+ *                              and the compiled-layout section (opt
+ *                              level, node remap, optimized graph,
+ *                              kept-constraint indices, pass stats)
  *
- * Version 3 persists the graph-compilation pipeline's output next to
- * the snapshot, so a loader rehydrates by re-solving the already
- * optimized layout instead of re-running the passes (and their
- * whole-graph analyses) — the dominant cost on large runs. Version 4
- * additionally persists the partition pass's rank-level plan, so a
- * rehydrated run is parallel-ready without re-levelizing. Version 2
- * files (no layout section) still decode; their runs are recompiled
- * through the deterministic pass pipeline on load and behave
- * identically. Version 3 files re-derive the partition plan on load —
- * the builder is deterministic, so the result matches what a v4 writer
- * would have stored.
+ * The layout section persists the graph-compilation pipeline's output
+ * next to the snapshot, so a loader rehydrates by re-solving the
+ * already optimized layout instead of re-running the passes (and their
+ * whole-graph analyses) — the dominant cost on large runs. Only the
+ * current version decodes: RunStore is a cache keyed by fingerprint, so
+ * a file of any other version is rejected with a version error and its
+ * loaders count it as a miss.
  *
  * Decoding is strict: bad magic, an unknown version, a checksum
  * mismatch, a truncated section, an impossible element count, or any
@@ -68,12 +60,12 @@ namespace omnisim::io
  *  v2: EngineStats gained the forcedBlind / deadlockRetroSuspect
  *  approximation markers (see runtime/result.hh).
  *  v3: appended the compiled-layout section (see file comment).
- *  v4: appended the partition-plan section to the layout. */
-constexpr std::uint32_t kRunFormatVersion = 4;
+ *  v4: appended a partition-plan section to the layout.
+ *  v5: dropped the partition-plan section. */
+constexpr std::uint32_t kRunFormatVersion = 5;
 
-/** Oldest version this build still decodes (v2 runs are recompiled
- *  through the pass pipeline on load). */
-constexpr std::uint32_t kRunMinFormatVersion = 2;
+/** Oldest version this build decodes: only the current one. */
+constexpr std::uint32_t kRunMinFormatVersion = kRunFormatVersion;
 
 /** The 8-byte file magic. */
 extern const char kRunMagic[8];
@@ -102,24 +94,13 @@ std::uint64_t depthVectorHash(const std::vector<std::uint32_t> &depths);
 
 /**
  * Encode a complete run file image (header + payload) at the current
- * format version. When @p layout is null the compiled layout persisted
- * in the v3 section is produced by running the deterministic pass
- * pipeline (opt::OptLevel::O1) over @p snap; pass the engine's own
- * layout to skip that recompile.
+ * format version. When @p layout is null the persisted compiled layout
+ * is produced by running the deterministic pass pipeline
+ * (opt::OptLevel::O1) over @p snap; pass the engine's own layout to
+ * skip that recompile.
  */
 std::string encodeRun(const RunFileMeta &meta, const RunSnapshot &snap,
                       const opt::RunLayout *layout = nullptr);
-
-/** Encode a version-2 image (no layout section) — kept so the
- *  backward-compatibility tests can manufacture genuine v2 files. */
-std::string encodeRunV2(const RunFileMeta &meta, const RunSnapshot &snap);
-
-/** Encode a version-3 image (layout section, no partition plan) — kept
- *  so the backward-compatibility tests can manufacture genuine v3
- *  files; the decoder re-derives the plan for them. Null @p layout
- *  recompiles, as encodeRun does. */
-std::string encodeRunV3(const RunFileMeta &meta, const RunSnapshot &snap,
-                        const opt::RunLayout *layout = nullptr);
 
 /**
  * Decode and fully validate a run file image.
@@ -129,12 +110,11 @@ void decodeRun(std::string_view bytes, RunFileMeta &meta,
                RunSnapshot &snap);
 
 /**
- * Decode overload that also surfaces the persisted compiled layout.
- * @p layout is empty after decoding a v2 image (the caller recompiles)
- * and engaged after a v3 image, already validated against @p snap.
+ * Decode overload that also surfaces the persisted compiled layout,
+ * already validated against @p snap.
  */
 void decodeRun(std::string_view bytes, RunFileMeta &meta, RunSnapshot &snap,
-               std::optional<opt::RunLayout> &layout);
+               opt::RunLayout &layout);
 
 /**
  * Check every cross-index invariant of a decoded snapshot — node ids in
@@ -188,9 +168,8 @@ class StoredRun
                                                 RunFileMeta meta = {});
 
     /**
-     * Read + decode + rehydrate a run file. v3 files carry their
-     * compiled layout, so rehydration skips the optimization passes;
-     * v2 files are recompiled.
+     * Read + decode + rehydrate a run file. The file carries its
+     * compiled layout, so rehydration skips the optimization passes.
      * @throws FatalError on IO errors or any malformation.
      */
     static std::unique_ptr<StoredRun> open(const std::string &path);
@@ -214,7 +193,8 @@ class StoredRun
     }
 
     /** @return the CompiledRun serving resimulate() — read-only
-     *  introspection (layout, partition plan) for benches and tests. */
+     *  introspection (layout, universal-order certificate) for benches
+     *  and tests. */
     const CompiledRun &compiled() const { return *compiled_; }
 
     /**
@@ -224,13 +204,9 @@ class StoredRun
      * OmniSim::resimulate(): reused outcomes carry the baseline result
      * with re-finalized cycles; divergence reports the first flipped
      * constraint with the same message text. Thread-safe.
-     *
-     * @param jobs relaxation lanes (see OmniSimOptions::jobs) — results
-     *             are bit-identical at any value.
      */
     IncrementalOutcome
-    resimulate(const std::vector<std::uint32_t> &depths,
-               unsigned jobs = 1) const;
+    resimulate(const std::vector<std::uint32_t> &depths) const;
 
   private:
     StoredRun(RunSnapshot snap, RunFileMeta meta,

@@ -6,10 +6,10 @@
 //
 // Propagation is explicit at thread boundaries: the submitting side
 // captures currentCorrelationId() and the worker re-establishes it with
-// a CorrelationScope before running the task (TaskPool::submit,
-// BatchRunner::forEachIndex, and RelaxPool leases all do this), so the
-// id follows the request across pools without any global locking — the
-// hot read is one thread-local load.
+// a CorrelationScope before running the task (TaskPool::submit and
+// BatchRunner::forEachIndex both do this), so the id follows the
+// request across pools without any global locking — the hot read is one
+// thread-local load.
 #ifndef OMNISIM_OBS_CONTEXT_HH
 #define OMNISIM_OBS_CONTEXT_HH
 

@@ -10,7 +10,7 @@
  * subgraphs, pruned constraints, and per-FIFO access maps restricted to
  * the entries that can still matter under some depth vector.
  *
- * Invariants the passes guarantee (and the v3 decoder validates):
+ * Invariants the passes guarantee (and the run-file decoder validates):
  *  - every kept FIFO access entry maps to a live layout node;
  *  - every kept constraint's node and reachable targets are live;
  *  - node times of live layout nodes equal the original nodes' times at
@@ -64,88 +64,6 @@ struct FifoLayout
     std::uint32_t blockingWrites = 0;
 };
 
-/**
- * Rank-level partition of a layout for parallel relaxation.
- *
- * Nodes are grouped into levels by longest-path rank over the structural
- * edges plus the WAR overlay at the *baseline* clamped depths; every
- * in-edge of a level-L node originates strictly below L, so all nodes of
- * one level can be relaxed concurrently once the previous levels are
- * final. Wide levels are split into balanced cones (contiguous chunks of
- * the level's id-sorted node list) that worker threads claim
- * independently. `valid` only fails when the baseline overlay is cyclic
- * (a timing-infeasible baseline the engine reports on its own).
- *
- * Other depth vectors move the WAR edges, so the plan does not claim to
- * order all of them. Instead it derives, per FIFO, the *minimum
- * admissible depth*: the smallest depth at which every live blocking
- * write still sits strictly above the prefix of reads that could source
- * its WAR edge (shallower depths reach further back in the read
- * sequence; the prefix-max over read levels makes admissibility monotone
- * in the depth). A clamped probe whose depths all clear their FIFO's
- * threshold — `admits()` — relaxes on the leveled paths with the same
- * level-barrier correctness argument as the baseline; anything shallower
- * takes the serial paths. The baseline itself always admits whenever
- * per-FIFO read levels are monotone in program order (the WAR(baseline)
- * edges participated in levelization).
- */
-struct PartitionPlan
-{
-    bool valid = false;
-
-    /** Live nodes ordered by (level, id): a topological order of the
-     *  structural + WAR overlay graph at every *admitted* depth vector. */
-    std::vector<std::uint32_t> order;
-
-    /** levels+1 offsets into `order`; level L is
-     *  order[levelOffsets[L] .. levelOffsets[L+1]). */
-    std::vector<std::uint32_t> levelOffsets;
-
-    /** cones+1 offsets into `order`, refining levelOffsets (every level
-     *  boundary is also a cone boundary). A cone is one worker's unit of
-     *  claimable work inside a level. */
-    std::vector<std::uint32_t> coneOffsets;
-
-    /** Structural edges whose endpoints fall in different cones. */
-    std::uint64_t frontierEdges = 0;
-
-    /** Widest level, in nodes (parallelism ceiling of the plan). */
-    std::uint32_t maxLevelWidth = 0;
-
-    /** Per-FIFO minimum admissible depth (size == layout FIFO count,
-     *  every entry >= 1): the smallest clamped depth at which the level
-     *  order still dominates that FIFO's WAR edges. See admits(). */
-    std::vector<std::uint32_t> minSafeDepth;
-
-    /** @return true when a *clamped* probe may relax on the leveled
-     *  paths: the plan is valid and every FIFO's depth clears its
-     *  minimum admissible depth. Deterministic in (plan, depths), so
-     *  every replica of a run — live engine or rehydrated StoredRun —
-     *  picks the same path for the same probe. */
-    bool admits(const std::vector<std::uint32_t> &clamped) const
-    {
-        if (!valid || clamped.size() != minSafeDepth.size())
-            return false;
-        for (std::size_t f = 0; f < clamped.size(); ++f)
-            if (clamped[f] < minSafeDepth[f])
-                return false;
-        return true;
-    }
-
-    std::uint32_t levels() const
-    {
-        return levelOffsets.empty()
-                   ? 0
-                   : static_cast<std::uint32_t>(levelOffsets.size() - 1);
-    }
-    std::uint32_t cones() const
-    {
-        return coneOffsets.empty()
-                   ? 0
-                   : static_cast<std::uint32_t>(coneOffsets.size() - 1);
-    }
-};
-
 /** One kept recorded constraint, in recorded order. */
 struct LayoutCons
 {
@@ -189,17 +107,11 @@ struct RunLayout
 
     CompileStats stats;
 
-    /** Rank-level partition for parallel relaxation; `part.valid` is
-     *  false when the design must relax serially. Built by the -O1
-     *  "partition" pass (and re-derived on rehydration of pre-v4 run
-     *  files). */
-    PartitionPlan part;
-
     /** Rebuild accFifo/accIdx/accWrite/accBlockingWrite + the per-FIFO
      *  blocking counts from fifos[]. writeBlocking[f][w-1] says whether
      *  the w-th write of FIFO f was committed by a *blocking* write (the
      *  only kind that may carry a WAR in-edge). Used by the pass manager
-     *  and the v3 decoder. */
+     *  and the run-file decoder. */
     void rebuildAccessMaps(
         const std::vector<std::vector<std::uint8_t>> &writeBlocking);
 };

@@ -7,7 +7,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "opt/build.hh"
-#include "opt/partition.hh"
 #include "opt/verify.hh"
 #include "runtime/fifo_table.hh"
 #include "support/logging.hh"
@@ -338,7 +337,7 @@ PassManager::passNames() const
 {
     if (level_ == OptLevel::O0)
         return {};
-    return {"lattice-prune", "chain-collapse", "dedup", "partition"};
+    return {"lattice-prune", "chain-collapse", "dedup"};
 }
 
 RunLayout
@@ -423,23 +422,6 @@ PassManager::compile(const LayoutInput &in) const
         static_cast<unsigned long long>(lay.stats.optNodes),
         static_cast<unsigned long long>(lay.stats.origConstraints),
         static_cast<unsigned long long>(lay.stats.keptConstraints));
-    if (level_ != OptLevel::O0) {
-        static obs::Histogram &mPartitionUs =
-            obs::Registry::global().histogram("compile.pass_us.partition");
-        OMNISIM_SPAN("compile.partition");
-        obs::ScopedLatencyUs t(mPartitionUs);
-        lay.part = buildPartitionPlan(lay, *in.depths);
-        PassStats ps;
-        ps.pass = "partition";
-        lay.stats.passes.push_back(ps);
-        if (verifyEnabled()) {
-            VerifyContext ctx;
-            ctx.input = &in;
-            ctx.pass = "partition";
-            ctx.afterDedup = true;
-            verifyPartitionPlan(lay, *in.depths, ctx);
-        }
-    }
     return lay;
 }
 

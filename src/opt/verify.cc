@@ -8,7 +8,6 @@
 #include "core/omnisim.hh"
 #include "graph/simgraph.hh"
 #include "obs/log.hh"
-#include "opt/partition.hh"
 #include "runtime/fifo_table.hh"
 #include "support/logging.hh"
 
@@ -444,133 +443,6 @@ verifyLayout(const RunLayout &lay, const VerifyContext &ctx)
         if (ctx.afterDedup)
             checkDedupFixpoint(lay, ctx);
     }
-}
-
-void
-verifyPartitionPlan(const RunLayout &lay,
-                    const std::vector<std::uint32_t> &baseDepths,
-                    const VerifyContext &ctx)
-{
-    const PartitionPlan &p = lay.part;
-    if (!p.valid) {
-        if (!p.order.empty() || !p.levelOffsets.empty() ||
-            !p.coneOffsets.empty() || !p.minSafeDepth.empty())
-            failVerify(ctx, "plan-shape",
-                       "serial (invalid) plan carries level data");
-        return;
-    }
-    const std::size_t n = lay.numNodes;
-    if (p.order.size() != n)
-        failVerify(ctx, "plan-shape",
-                   strf("order covers %zu of %zu nodes", p.order.size(),
-                        n));
-    const auto checkOffsets = [&](const std::vector<std::uint32_t> &off,
-                                  const char *what) {
-        if (off.empty() || off.front() != 0 || off.back() != n)
-            failVerify(ctx, "plan-shape",
-                       strf("%s offsets do not span the order", what));
-        for (std::size_t i = 1; i < off.size(); ++i)
-            if (off[i] < off[i - 1])
-                failVerify(ctx, "plan-shape",
-                           strf("%s offsets decrease at %zu", what, i));
-    };
-    checkOffsets(p.levelOffsets, "level");
-    checkOffsets(p.coneOffsets, "cone");
-    for (std::size_t l = 0, c = 0; l < p.levelOffsets.size(); ++l) {
-        while (c < p.coneOffsets.size() &&
-               p.coneOffsets[c] < p.levelOffsets[l])
-            ++c;
-        if (c >= p.coneOffsets.size() ||
-            p.coneOffsets[c] != p.levelOffsets[l])
-            failVerify(ctx, "plan-shape",
-                       strf("cone offsets do not refine level boundary "
-                            "%zu", l));
-    }
-
-    std::vector<std::uint32_t> levelOf(n, 0);
-    std::vector<std::uint8_t> seen(n, 0);
-    std::uint32_t maxWidth = 0;
-    for (std::size_t l = 0; l + 1 < p.levelOffsets.size(); ++l) {
-        maxWidth = std::max(maxWidth,
-                            p.levelOffsets[l + 1] - p.levelOffsets[l]);
-        for (std::uint32_t i = p.levelOffsets[l];
-             i < p.levelOffsets[l + 1]; ++i) {
-            const std::uint32_t v = p.order[i];
-            if (v >= n || seen[v])
-                failVerify(ctx, "plan-shape",
-                           strf("order is not a permutation (position "
-                                "%u, node %u)", i, v));
-            seen[v] = 1;
-            levelOf[v] = static_cast<std::uint32_t>(l);
-        }
-    }
-    if (maxWidth != p.maxLevelWidth)
-        failVerify(ctx, "plan-shape",
-                   strf("level width %u recorded as %u", maxWidth,
-                        p.maxLevelWidth));
-
-    // [level-monotone]: every ordering edge — structural plus the WAR
-    // overlay at the clamped baseline depths — must climb strictly.
-    for (const auto &e : lay.edges)
-        if (levelOf[e.src] >= levelOf[e.dst])
-            failVerify(ctx, "level-monotone",
-                       strf("structural edge %llu -> %llu does not "
-                            "climb (levels %u >= %u)",
-                            static_cast<unsigned long long>(e.src),
-                            static_cast<unsigned long long>(e.dst),
-                            levelOf[e.src], levelOf[e.dst]));
-    if (baseDepths.size() != lay.fifos.size())
-        failVerify(ctx, "plan-shape",
-                   strf("%zu baseline depths for %zu fifos",
-                        baseDepths.size(), lay.fifos.size()));
-    for (std::size_t f = 0; f < lay.fifos.size(); ++f) {
-        const FifoLayout &fl = lay.fifos[f];
-        const std::size_t s = std::min(baseDepths[f], fl.cap);
-        const std::size_t nr = fl.readNode.size();
-        for (std::size_t i = s; i < fl.writeNode.size(); ++i) {
-            if (i - s >= nr)
-                break;
-            const std::uint32_t rn = fl.readNode[i - s];
-            if (rn == kNoNode)
-                continue;
-            const std::uint32_t wn = fl.writeNode[i];
-            if (wn == kNoNode || !lay.accBlockingWrite[wn])
-                continue;
-            if (levelOf[rn] >= levelOf[wn])
-                failVerify(ctx, "level-monotone",
-                           strf("WAR edge read %zu -> write %zu of "
-                                "fifo %zu does not climb (levels %u >= "
-                                "%u)", i - s + 1, i + 1, f, levelOf[rn],
-                                levelOf[wn]));
-        }
-    }
-
-    if (p.minSafeDepth.size() != lay.fifos.size())
-        failVerify(ctx, "threshold-admissible",
-                   strf("%zu depth thresholds for %zu fifos",
-                        p.minSafeDepth.size(), lay.fifos.size()));
-    const std::vector<std::uint32_t> want = minSafeDepths(lay, levelOf);
-    for (std::size_t f = 0; f < want.size(); ++f)
-        if (want[f] != p.minSafeDepth[f])
-            failVerify(ctx, "threshold-admissible",
-                       strf("fifo %zu threshold %u, levels imply %u", f,
-                            p.minSafeDepth[f], want[f]));
-
-    std::vector<std::uint32_t> coneOf(n, 0);
-    for (std::size_t c = 0; c + 1 < p.coneOffsets.size(); ++c)
-        for (std::uint32_t i = p.coneOffsets[c];
-             i < p.coneOffsets[c + 1]; ++i)
-            coneOf[p.order[i]] = static_cast<std::uint32_t>(c);
-    std::uint64_t frontier = 0;
-    for (const auto &e : lay.edges)
-        if (coneOf[e.src] != coneOf[e.dst])
-            ++frontier;
-    if (frontier != p.frontierEdges)
-        failVerify(ctx, "plan-frontier",
-                   strf("%llu cross-cone edges recorded as %llu",
-                        static_cast<unsigned long long>(frontier),
-                        static_cast<unsigned long long>(
-                            p.frontierEdges)));
 }
 
 } // namespace omnisim::opt

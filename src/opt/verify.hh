@@ -1,8 +1,7 @@
 /**
  * @file
- * The IR verifier: an LLVM-style invariant checker over RunLayout and
- * PartitionPlan, run between every PassManager pass and on OMSIMRUN
- * rehydration.
+ * The IR verifier: an LLVM-style invariant checker over RunLayout, run
+ * between every PassManager pass and on OMSIMRUN rehydration.
  *
  * Every check carries a stable invariant id (the bracketed token in the
  * failure message and the `invariant` field of the "verify.fail" log
@@ -39,15 +38,6 @@
  *                          seed and identical canonical in-edge lists
  *                          remain (dedup ran to a fixed point). Needs
  *                          VerifyContext::input and afterDedup.
- *   [plan-shape]           partition plan arrays span/refine/permute
- *                          correctly and maxLevelWidth is honest.
- *   [level-monotone]       levels strictly climb along every structural
- *                          edge and every WAR-overlay edge at the
- *                          clamped baseline depths.
- *   [threshold-admissible] persisted per-FIFO minimum admissible depths
- *                          equal what the levels imply (minSafeDepths).
- *   [plan-frontier]        the cross-cone structural edge count is
- *                          honest.
  *
  * A violation logs a structured "verify.fail" event (pass name,
  * invariant id, offending ids — picked up by the flight recorder ring)
@@ -59,9 +49,6 @@
 
 #ifndef OMNISIM_OPT_VERIFY_HH
 #define OMNISIM_OPT_VERIFY_HH
-
-#include <cstdint>
-#include <vector>
 
 #include "opt/layout.hh"
 #include "opt/pass_manager.hh"
@@ -95,14 +82,6 @@ bool verifyEnabled();
  * Unconditional — callers gate on verifyEnabled().
  */
 void verifyLayout(const RunLayout &lay, const VerifyContext &ctx);
-
-/**
- * Check every PartitionPlan invariant against its layout and the
- * baseline depth vector it was built for. @throws FatalError likewise.
- */
-void verifyPartitionPlan(const RunLayout &lay,
-                         const std::vector<std::uint32_t> &baseDepths,
-                         const VerifyContext &ctx);
 
 } // namespace omnisim::opt
 

@@ -163,6 +163,17 @@ optionalU64(const Request &req, const char *field, std::uint64_t def,
     return v->asU64(field, max);
 }
 
+/** Worker threads a dse/batch request fans out over: its optional
+ *  "jobs" field capped at the service's own width, which 0 selects, so
+ *  one request never starts more threads than the service runs. */
+unsigned
+requestJobs(const Request &req, unsigned width)
+{
+    const std::uint64_t v = optionalU64(req, "jobs", 0, 4096);
+    return v == 0 ? width
+                  : static_cast<unsigned>(std::min<std::uint64_t>(v, width));
+}
+
 /** Optional string request field with default. */
 std::string
 optionalString(const Request &req, const char *field, std::string def)
@@ -515,7 +526,7 @@ SimService::doDse(const Request &req)
         optionalU64(req, "budget", opts.budget, 1u << 24));
     opts.seed = optionalU64(req, "seed", opts.seed,
                             std::numeric_limits<std::uint64_t>::max());
-    opts.jobs = static_cast<unsigned>(optionalU64(req, "jobs", 0, 4096));
+    opts.jobs = requestJobs(req, jobs());
     opts.engine = opts_.engine;
     opts.store = store_.get();
     opts.storeDesign = design;
@@ -549,6 +560,7 @@ SimService::doDse(const Request &req)
     JsonBuilder b = beginResponse(req, true);
     b.key("design").str(design);
     b.key("strategy").str(rep.strategy);
+    b.key("jobs").num(rep.jobs);
     b.key("evaluations").num(rep.evaluations.size());
     b.key("full_runs").num(rep.fullRuns);
     b.key("incremental_hits").num(rep.incrementalHits);
@@ -605,15 +617,13 @@ SimService::doBatch(const Request &req)
         engines.push_back(batch::EngineKind::OmniSim);
     const auto seeds = static_cast<unsigned>(
         optionalU64(req, "seeds", 1, 1u << 20));
-    const auto jobs = static_cast<unsigned>(
-        optionalU64(req, "jobs", 0, 4096));
-
     const std::vector<batch::Scenario> scenarios =
         batch::registryScenarios(engines, std::max(1u, seeds), only);
     const batch::BatchReport rep =
-        batch::BatchRunner({jobs}).run(scenarios);
+        batch::BatchRunner({requestJobs(req, jobs())}).run(scenarios);
 
     JsonBuilder b = beginResponse(req, true);
+    b.key("jobs").num(rep.jobs);
     b.key("scenarios").num(rep.outcomes.size());
     b.key("ok_count").num(rep.okCount());
     b.key("failed_count").num(rep.failedCount());

@@ -1,13 +1,18 @@
 /** @file CompiledRun tests: the delta-driven resimulate() must be
  *  bit-identical to the pre-compiled full-rebuild reference
  *  (OmniSim::resimulateReference) across the design registry, for both
- *  reuse and divergence outcomes, including randomized depth vectors
- *  and the timing-infeasible shrink case. */
+ *  reuse and divergence outcomes, including randomized depth vectors,
+ *  a large generated design, and the timing-infeasible shrink case;
+ *  plus where the freeze certifies its cached order universal. */
 
 #include <gtest/gtest.h>
 
 #include "design/context.hh"
+#include "gen/generate.hh"
+#include "gen/spec.hh"
+#include "graph/compiled_run.hh"
 #include "helpers.hh"
+#include "io/run_io.hh"
 #include "support/prng.hh"
 
 namespace omnisim
@@ -78,6 +83,9 @@ TEST(CompiledRun, RegistryRandomizedDepthsMatchReference)
     // identical reuse/divergence decision with identical totals and
     // identical divergence reasons on both paths. A few reused vectors
     // per design are additionally checked against a fresh full run.
+    // Every registry freeze certifies its cached order universal, so
+    // these probes all run on the in-order full sweep when they fall
+    // back.
     std::size_t reusedSeen = 0, divergedSeen = 0;
     for (const auto *suite :
          {&designs::typeBCDesigns(), &designs::typeADesigns()}) {
@@ -89,6 +97,9 @@ TEST(CompiledRun, RegistryRandomizedDepthsMatchReference)
             OmniSim engine(cd, checkedOmniSim());
             if (engine.run().status != SimStatus::Ok)
                 continue;
+            RunSnapshot snap;
+            ASSERT_TRUE(engine.exportSnapshot(snap));
+            EXPECT_TRUE(CompiledRun(snap).universalOrder()) << entry.name;
 
             std::vector<std::uint32_t> base;
             for (const auto &f : d.fifos())
@@ -132,6 +143,49 @@ TEST(CompiledRun, RegistryRandomizedDepthsMatchReference)
     // The randomized sweep must actually exercise both outcome kinds.
     EXPECT_GT(reusedSeen, 0u);
     EXPECT_GT(divergedSeen, 0u);
+}
+
+TEST(CompiledRun, LargeGeneratedDesignMatchesReference)
+{
+    // A generated design of thousands of layout nodes, served from a
+    // rehydrated StoredRun. Small deltas take the worklist; broad
+    // perturbations and the all-ones probe fall back to the full
+    // in-order sweep. The reference engine is ground truth.
+    gen::GenConfig cfg = gen::largeGenConfig();
+    cfg.minProcs = 96;
+    cfg.maxProcs = 128;
+    const Design design = gen::materialize(gen::generateSpec(7, cfg));
+    const CompiledDesign cd = compile(design);
+    OmniSim engine(cd);
+    ASSERT_EQ(engine.run().status, SimStatus::Ok);
+    RunSnapshot snap;
+    ASSERT_TRUE(engine.exportSnapshot(snap));
+    const std::unique_ptr<io::StoredRun> stored =
+        io::StoredRun::rehydrate(std::move(snap));
+    EXPECT_TRUE(stored->compiled().universalOrder());
+    const std::vector<std::uint32_t> &base = stored->baseDepths();
+    const std::size_t nfifos = base.size();
+    ASSERT_GT(nfifos, 0u);
+
+    Prng prng(0x9a7a11e1u);
+    std::vector<std::vector<std::uint32_t>> probes;
+    for (int k = 0; k < 6; ++k) {
+        std::vector<std::uint32_t> d = base;
+        const std::size_t touches =
+            k < 3 ? 1 + prng.below(4)
+                  : 1 + prng.below(std::max<std::size_t>(1, nfifos / 4));
+        for (std::size_t i = 0; i < touches; ++i)
+            d[prng.below(nfifos)] =
+                static_cast<std::uint32_t>(1 + prng.below(12));
+        probes.push_back(std::move(d));
+    }
+    probes.emplace_back(nfifos, 1);
+    probes.push_back(base);
+
+    for (std::size_t k = 0; k < probes.size(); ++k)
+        expectIdentical(stored->resimulate(probes[k]),
+                        engine.resimulateReference(probes[k]),
+                        "probe " + std::to_string(k));
 }
 
 TEST(CompiledRun, Table6HitAndDivergenceMatchReference)
@@ -183,6 +237,12 @@ TEST(CompiledRun, InfeasibleShrinkMatchesReference)
     const CompiledDesign cd = compile(d);
     OmniSim engine(cd, checkedOmniSim());
     ASSERT_EQ(engine.run().status, SimStatus::Ok);
+    // The depth-1 overlay is cyclic, so the freeze cannot certify a
+    // universal order: the probe goes through the Kahn fallback, which
+    // is what proves the cycle.
+    RunSnapshot snap;
+    ASSERT_TRUE(engine.exportSnapshot(snap));
+    EXPECT_FALSE(CompiledRun(snap).universalOrder());
 
     const IncrementalOutcome bad = engine.resimulate({8, 1});
     expectIdentical(bad, engine.resimulateReference({8, 1}), "(8,1)");

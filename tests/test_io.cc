@@ -249,227 +249,61 @@ TEST(RunIo, VersionBumpRejected)
     ASSERT_EQ(engine.run().status, SimStatus::Ok);
     RunSnapshot snap;
     ASSERT_TRUE(engine.exportSnapshot(snap));
-    std::string image = io::encodeRun({"fifo_chain", "omnisim", 1}, snap);
+    const std::string image =
+        io::encodeRun({"fifo_chain", "omnisim", 1}, snap);
 
-    // The u32 format version sits right after the 8-byte magic.
-    image[8] = static_cast<char>(io::kRunFormatVersion + 1);
-    io::RunFileMeta meta;
-    RunSnapshot out;
-    try {
-        io::decodeRun(image, meta, out);
-        FAIL() << "version bump not rejected";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("version"),
-                  std::string::npos);
-    }
-}
-
-TEST(RunIo, V2FilesStillDecodeAndRecompile)
-{
-    // A version-2 image (no compiled-layout section) must keep loading
-    // under the v3 reader: the layout is recompiled on rehydration and
-    // every probe answers bit-identically to the v3 fast path.
-    Compiled c("reconvergent");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    const io::RunFileMeta meta{"reconvergent", "omnisim", 7};
-    const std::string v2 = io::encodeRunV2(meta, snap);
-    const std::string v3 = io::encodeRun(meta, snap);
-    EXPECT_LT(v2.size(), v3.size());
-
-    io::RunFileMeta m2;
-    RunSnapshot s2;
-    std::optional<opt::RunLayout> lay2;
-    io::decodeRun(v2, m2, s2, lay2);
-    EXPECT_FALSE(lay2.has_value());
-    EXPECT_EQ(m2.design, "reconvergent");
-
-    io::RunFileMeta m3;
-    RunSnapshot s3;
-    std::optional<opt::RunLayout> lay3;
-    io::decodeRun(v3, m3, s3, lay3);
-    ASSERT_TRUE(lay3.has_value());
-    EXPECT_EQ(lay3->stats.origNodes, snap.nodes.size());
-    EXPECT_LE(lay3->numNodes, snap.nodes.size());
-
-    TempDir dir("v2compat");
-    const std::string p2 = (fs::path(dir.path) / "v2.omnirun").string();
-    const std::string p3 = (fs::path(dir.path) / "v3.omnirun").string();
-    std::ofstream(p2, std::ios::binary) << v2;
-    std::ofstream(p3, std::ios::binary) << v3;
-    const std::unique_ptr<io::StoredRun> r2 = io::StoredRun::open(p2);
-    const std::unique_ptr<io::StoredRun> r3 = io::StoredRun::open(p3);
-
-    Prng prng(nameSeed("v2compat"));
-    const std::vector<std::uint32_t> base = r2->baseDepths();
-    for (int probe = 0; probe < 32; ++probe) {
-        std::vector<std::uint32_t> depths = base;
-        for (auto &dep : depths)
-            if (prng.below(2) == 0)
-                dep = static_cast<std::uint32_t>(1 + prng.below(12));
-        expectIdentical(r2->resimulate(depths), r3->resimulate(depths),
-                        "v2-vs-v3 probe");
-    }
-}
-
-TEST(RunIo, V3FilesRederiveThePartitionPlan)
-{
-    // A version-3 image carries the layout but no partition plan; the
-    // decoder re-derives one from the persisted layout and the
-    // snapshot's baseline depths. The builder is deterministic, so the
-    // result must match the plan a v4 image persists field-by-field —
-    // and probes through both files must answer identically.
-    Compiled c("reconvergent");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    const io::RunFileMeta meta{"reconvergent", "omnisim", 7};
-    const std::string v3 = io::encodeRunV3(meta, snap);
-    const std::string v4 = io::encodeRun(meta, snap);
-    EXPECT_LT(v3.size(), v4.size());
-
-    io::RunFileMeta m3, m4;
-    RunSnapshot s3, s4;
-    std::optional<opt::RunLayout> lay3, lay4;
-    io::decodeRun(v3, m3, s3, lay3);
-    io::decodeRun(v4, m4, s4, lay4);
-    ASSERT_TRUE(lay3.has_value());
-    ASSERT_TRUE(lay4.has_value());
-    const opt::PartitionPlan &p3 = lay3->part;
-    const opt::PartitionPlan &p4 = lay4->part;
-    ASSERT_TRUE(p4.valid);
-    EXPECT_EQ(p3.valid, p4.valid);
-    EXPECT_EQ(p3.order, p4.order);
-    EXPECT_EQ(p3.levelOffsets, p4.levelOffsets);
-    EXPECT_EQ(p3.coneOffsets, p4.coneOffsets);
-    EXPECT_EQ(p3.frontierEdges, p4.frontierEdges);
-    EXPECT_EQ(p3.maxLevelWidth, p4.maxLevelWidth);
-    EXPECT_EQ(p3.minSafeDepth, p4.minSafeDepth);
-
-    TempDir dir("v3compat");
-    const std::string p3path = (fs::path(dir.path) / "v3.omnirun").string();
-    const std::string p4path = (fs::path(dir.path) / "v4.omnirun").string();
-    std::ofstream(p3path, std::ios::binary) << v3;
-    std::ofstream(p4path, std::ios::binary) << v4;
-    const std::unique_ptr<io::StoredRun> r3 = io::StoredRun::open(p3path);
-    const std::unique_ptr<io::StoredRun> r4 = io::StoredRun::open(p4path);
-    Prng prng(nameSeed("v3compat"));
-    const std::vector<std::uint32_t> base = r3->baseDepths();
-    for (int probe = 0; probe < 24; ++probe) {
-        std::vector<std::uint32_t> depths = base;
-        for (auto &dep : depths)
-            if (prng.below(2) == 0)
-                dep = static_cast<std::uint32_t>(1 + prng.below(12));
-        expectIdentical(r3->resimulate(depths, 2),
-                        r4->resimulate(depths, 2), "v3-vs-v4 probe");
-    }
-}
-
-TEST(RunIo, TamperedPartitionPlanRejected)
-{
-    // A checksum-intact v4 plan section whose content breaks a plan
-    // invariant must be rejected at decode — the parallel engine's
-    // unchecked indexing (and its level-barrier ordering argument)
-    // trusts every one of these fields. Tampers are injected by
-    // re-encoding through encodeRun's layout parameter, so the whole
-    // real decode path runs.
-    Compiled c("reconvergent");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    const io::RunFileMeta meta{"reconvergent", "omnisim", 7};
-    io::RunFileMeta m;
-    RunSnapshot s;
-    std::optional<opt::RunLayout> lay;
-    io::decodeRun(io::encodeRun(meta, snap), m, s, lay);
-    ASSERT_TRUE(lay.has_value());
-    ASSERT_TRUE(lay->part.valid);
-    ASSERT_FALSE(lay->part.minSafeDepth.empty());
-
-    const auto expectRejected = [&](const opt::RunLayout &bad,
-                                    const char *what) {
-        const std::string image = io::encodeRun(meta, snap, &bad);
-        io::RunFileMeta m2;
-        RunSnapshot s2;
-        std::optional<opt::RunLayout> lay2;
-        EXPECT_THROW(io::decodeRun(image, m2, s2, lay2), FatalError)
-            << what;
-    };
-
-    {
-        opt::RunLayout bad = *lay;
-        bad.part.valid = false; // serial plan must carry no level data
-        expectRejected(bad, "invalid plan with arrays");
-    }
-    {
-        opt::RunLayout bad = *lay;
-        bad.part.maxLevelWidth += 1;
-        expectRejected(bad, "overstated level width");
-    }
-    {
-        opt::RunLayout bad = *lay;
-        bad.part.frontierEdges += 1;
-        expectRejected(bad, "wrong frontier count");
-    }
-    {
-        opt::RunLayout bad = *lay;
-        bad.part.minSafeDepth[0] += 1; // levels imply a different value
-        expectRejected(bad, "overstated depth threshold");
-    }
-    {
-        opt::RunLayout bad = *lay;
-        bad.part.minSafeDepth.pop_back();
-        expectRejected(bad, "missing depth threshold");
-    }
-    {
-        opt::RunLayout bad = *lay;
-        ASSERT_GE(bad.part.order.size(), 2u);
-        bad.part.order[1] = bad.part.order[0]; // not a permutation
-        expectRejected(bad, "duplicate order entry");
-    }
-    {
-        opt::RunLayout bad = *lay;
-        bad.part.order.pop_back(); // orders fewer nodes than the layout
-        expectRejected(bad, "short order");
+    // A newer version and the previous one are both rejected: only the
+    // current version decodes, and a store counts any other as a miss.
+    for (const std::uint32_t version :
+         {io::kRunFormatVersion + 1, io::kRunFormatVersion - 1}) {
+        std::string bad = image;
+        // The u32 format version sits right after the 8-byte magic.
+        bad[8] = static_cast<char>(version);
+        io::RunFileMeta meta;
+        RunSnapshot out;
+        try {
+            io::decodeRun(bad, meta, out);
+            ADD_FAILURE() << "version " << version << " not rejected";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("version"),
+                      std::string::npos);
+        }
     }
 }
 
 TEST(RunIo, TruncatedLayoutSectionRejected)
 {
-    // Cut bytes out of the v3 layout section while keeping the header
-    // (size + checksum) honest, so only the section parser itself can
-    // object — it must throw FatalError, never crash.
+    // Cut bytes out of the trailing layout section while keeping the
+    // header (size + checksum) honest, so only the section parser
+    // itself can object — it must throw FatalError, never crash.
     Compiled c("fifo_chain");
     OmniSim engine(c.cd, checkedOmniSim());
     ASSERT_EQ(engine.run().status, SimStatus::Ok);
     RunSnapshot snap;
     ASSERT_TRUE(engine.exportSnapshot(snap));
-    const std::string v3 = io::encodeRun({"fifo_chain", "omnisim", 1},
-                                         snap);
-    const std::string v2 = io::encodeRunV2({"fifo_chain", "omnisim", 1},
-                                           snap);
-    const std::size_t hdr = 8 + 4 + 8 + 8;
+    const io::RunFileMeta meta{"fifo_chain", "omnisim", 1};
+    const std::string image = io::encodeRun(meta, snap);
+    // The image of an empty layout differs only in that section, so the
+    // size difference bounds it from below: every cut stays inside it.
+    const opt::RunLayout empty;
     const std::size_t layoutBytes =
-        (v3.size() - hdr) - (v2.size() - hdr);
+        image.size() - io::encodeRun(meta, snap, &empty).size();
     ASSERT_GT(layoutBytes, 16u);
+    const std::size_t hdr = 8 + 4 + 8 + 8;
 
     for (std::size_t cut = 1; cut < layoutBytes; cut += 1 + cut / 13) {
         const std::string payload =
-            v3.substr(hdr, v3.size() - hdr - cut);
+            image.substr(hdr, image.size() - hdr - cut);
         io::ByteWriter file;
         file.raw(io::kRunMagic, sizeof(io::kRunMagic));
         file.u32(io::kRunFormatVersion);
         file.u64(io::fnv1a(payload));
         file.u64(payload.size());
         file.raw(payload.data(), payload.size());
-        io::RunFileMeta meta;
+        io::RunFileMeta m;
         RunSnapshot out;
-        std::optional<opt::RunLayout> lay;
-        EXPECT_THROW(io::decodeRun(file.take(), meta, out, lay),
+        opt::RunLayout lay;
+        EXPECT_THROW(io::decodeRun(file.take(), m, out, lay),
                      FatalError)
             << "cut " << cut << " bytes";
     }
@@ -487,56 +321,55 @@ TEST(RunIo, LayoutInvariantViolationsRejected)
     ASSERT_EQ(engine.run().status, SimStatus::Ok);
     RunSnapshot snap;
     ASSERT_TRUE(engine.exportSnapshot(snap));
-    const std::string v3 = io::encodeRun({"fig4_ex5", "omnisim", 1},
-                                         snap);
+    const std::string image = io::encodeRun({"fig4_ex5", "omnisim", 1},
+                                            snap);
     io::RunFileMeta meta;
     RunSnapshot out;
-    std::optional<opt::RunLayout> lay;
-    io::decodeRun(v3, meta, out, lay);
-    ASSERT_TRUE(lay.has_value());
-    EXPECT_NO_THROW(io::validateRunLayout(out, *lay));
+    opt::RunLayout lay;
+    io::decodeRun(image, meta, out, lay);
+    EXPECT_NO_THROW(io::validateRunLayout(out, lay));
 
     {
-        opt::RunLayout bad = *lay;
+        opt::RunLayout bad = lay;
         bad.numNodes = out.nodes.size() + 1;
         EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
     }
     {
-        opt::RunLayout bad = *lay;
+        opt::RunLayout bad = lay;
         ASSERT_FALSE(bad.remap.empty());
         bad.remap.pop_back();
         EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
     }
     {
-        opt::RunLayout bad = *lay;
+        opt::RunLayout bad = lay;
         bad.edges.push_back({bad.numNodes + 3, 0, 1});
         EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
     }
     {
-        opt::RunLayout bad = *lay;
+        opt::RunLayout bad = lay;
         ASSERT_FALSE(bad.fifos.empty());
         bad.fifos[0].readNode.push_back(0);
         EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
     }
     {
-        opt::RunLayout bad = *lay;
+        opt::RunLayout bad = lay;
         ASSERT_FALSE(bad.cons.empty());
         bad.cons.back().origIndex =
             static_cast<std::uint32_t>(out.constraints.size());
         EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
     }
-    if (lay->cons.size() >= 2) {
-        opt::RunLayout bad = *lay;
+    if (lay.cons.size() >= 2) {
+        opt::RunLayout bad = lay;
         std::swap(bad.cons.front().origIndex, bad.cons.back().origIndex);
         EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
     }
     // Drop a kept read query's pinned target write entry.
-    for (const opt::LayoutCons &cons : lay->cons) {
+    for (const opt::LayoutCons &cons : lay.cons) {
         const QueryRecord &qr = out.constraints[cons.origIndex];
         if ((qr.kind == EventKind::FifoNbRead ||
              qr.kind == EventKind::FifoCanRead) &&
-            qr.index <= lay->fifos[qr.fifo].writeNode.size()) {
-            opt::RunLayout bad = *lay;
+            qr.index <= lay.fifos[qr.fifo].writeNode.size()) {
+            opt::RunLayout bad = lay;
             bad.fifos[qr.fifo].writeNode[qr.index - 1] = opt::kNoNode;
             EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
             break;

@@ -45,11 +45,10 @@ TEST(Opt, LevelNamesAndPassList)
     EXPECT_STREQ(opt::optLevelName(opt::OptLevel::O1), "O1");
     EXPECT_TRUE(opt::PassManager(opt::OptLevel::O0).passNames().empty());
     const auto names = opt::PassManager(opt::OptLevel::O1).passNames();
-    ASSERT_EQ(names.size(), 4u);
+    ASSERT_EQ(names.size(), 3u);
     EXPECT_STREQ(names[0], "lattice-prune");
     EXPECT_STREQ(names[1], "chain-collapse");
     EXPECT_STREQ(names[2], "dedup");
-    EXPECT_STREQ(names[3], "partition");
 }
 
 TEST(Opt, IdentityLayoutAtO0)
@@ -90,7 +89,7 @@ TEST(Opt, StatsAreConsistentAtO1)
 
     // Per-pass counters must add up to the whole-pipeline deltas.
     std::uint64_t nodesGone = 0, edgesGone = 0, consGone = 0;
-    ASSERT_EQ(s.passes.size(), 4u);
+    ASSERT_EQ(s.passes.size(), 3u);
     for (const auto &p : s.passes) {
         nodesGone += p.nodesEliminated;
         edgesGone += p.edgesEliminated;

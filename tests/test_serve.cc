@@ -368,6 +368,7 @@ TEST(SimServiceTest, DseOpRunsAndReportsFrontier)
         R"("budget":12,"jobs":1})");
     ASSERT_TRUE(okField(r)) << r.dump();
     EXPECT_EQ(strField(r, "strategy"), "grid");
+    EXPECT_EQ(numField(r, "jobs"), 1u);
     EXPECT_GE(numField(r, "evaluations"), 1u);
     ASSERT_TRUE(r.find("frontier")->isArray());
     EXPECT_FALSE(r.find("frontier")->array().empty());
@@ -384,6 +385,20 @@ TEST(SimServiceTest, BatchOpRunsScenarios)
     EXPECT_EQ(numField(r, "scenarios"), 4u);
     EXPECT_EQ(numField(r, "failed_count"), 0u);
     EXPECT_EQ(r.find("outcomes")->array().size(), 4u);
+}
+
+TEST(SimServiceTest, RequestJobsAreCappedAtTheServiceWidth)
+{
+    // A request may not start more threads than the service runs: 4096
+    // resolves to the service's own width, echoed in the response. (A
+    // one-scenario batch starts no extra thread even when uncapped.)
+    SimService svc({2, "", 4, {}});
+    const JsonValue r = ask(svc,
+        R"({"id":1,"op":"batch","designs":["fifo_chain"],"seeds":1,)"
+        R"("jobs":4096})");
+    ASSERT_TRUE(okField(r)) << r.dump();
+    EXPECT_EQ(numField(r, "scenarios"), 1u);
+    EXPECT_EQ(numField(r, "jobs"), svc.jobs());
 }
 
 TEST(SimServiceTest, ListAndStatsOps)

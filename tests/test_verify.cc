@@ -2,13 +2,12 @@
  * @file
  * The IR verifier (src/opt/verify.*) under test from both sides:
  *
- *  - a mutation corpus: hand-corrupted layouts/plans must be rejected
- *    with the documented invariant id bracketed in the FatalError
- *    message ([dag], [csr-sorted], [remap-bijective],
- *    [cons-addressable], [threshold-admissible], ...);
+ *  - a mutation corpus: hand-corrupted layouts must be rejected with
+ *    the documented invariant id bracketed in the FatalError message
+ *    ([dag], [csr-sorted], [remap-bijective], [cons-addressable], ...);
  *  - a clean sweep: every registry design and 500 generated designs
- *    compile with verification forced on — the between-pass hooks, the
- *    final materialize check and the partition check must all pass.
+ *    compile with verification forced on — the between-pass hooks and
+ *    the final materialize check must all pass.
  */
 
 #include <gtest/gtest.h>
@@ -91,8 +90,6 @@ TEST(Verify, CleanLayoutsPassBothLevels)
             opt::VerifyContext ctx;
             ctx.pass = "test-clean";
             EXPECT_NO_THROW(opt::verifyLayout(lay, ctx));
-            EXPECT_NO_THROW(
-                opt::verifyPartitionPlan(lay, snap.depths, ctx));
         }
     }
 }
@@ -184,32 +181,6 @@ TEST(Verify, StaleConstraintIndicesAreRejected)
                     "cons-addressable");
 }
 
-TEST(Verify, TamperedThresholdsAreRejected)
-{
-    // Find a registry design whose -O1 compile yields a valid partition
-    // plan, then bump one persisted admissibility threshold.
-    for (const char *name : {"fifo_chain", "reconvergent", "fig4_ex5",
-                             "branch", "multicore"}) {
-        const test::Compiled c(name);
-        const RunSnapshot snap = snapshotOf(c);
-        opt::RunLayout lay = compileSnapshot(snap, opt::OptLevel::O1);
-        if (!lay.part.valid || lay.part.minSafeDepth.empty())
-            continue;
-        SCOPED_TRACE(name);
-
-        lay.part.minSafeDepth[0] += 1;
-
-        opt::VerifyContext ctx;
-        ctx.pass = "test-threshold";
-        expectInvariant(
-            fatalMessage(
-                [&] { opt::verifyPartitionPlan(lay, snap.depths, ctx); }),
-            "threshold-admissible");
-        return;
-    }
-    FAIL() << "no registry design produced a valid partition plan";
-}
-
 TEST(Verify, AccessMapDriftIsRejected)
 {
     const test::Compiled c("fifo_chain");
@@ -260,7 +231,7 @@ TEST(Verify, RegistryCompilesCleanWithVerifierForcedOn)
             if (r.status != SimStatus::Ok)
                 continue; // nothing frozen to verify
             // Round-trip through OMSIMRUN: decodeRun re-verifies the
-            // rehydrated layout and plan under pass="rehydrate".
+            // rehydrated layout under pass="rehydrate".
             RunSnapshot snap;
             ASSERT_TRUE(engine.exportSnapshot(snap));
             io::RunFileMeta meta;
@@ -291,8 +262,7 @@ TEST(Verify, FiveHundredGeneratedDesignsCompileClean)
         if (r.status != SimStatus::Ok)
             continue;
         ++frozen;
-        // One depth probe re-enters the compiled paths (and, at -O1,
-        // the partition admissibility machinery) post-verification.
+        // One depth probe re-enters the compiled paths post-verification.
         std::vector<std::uint32_t> depths;
         for (const auto &f : d.fifos())
             depths.push_back(f.depth + 1);

@@ -96,12 +96,10 @@ usage()
                  "trace spans\n"
                  "  (Chrome trace_event format) for the whole "
                  "invocation, and\n"
-                 "  --jobs N to size both the worker pools and the "
-                 "engine's\n"
-                 "  relaxation lanes (0 = all cores; answers are "
-                 "bit-identical\n"
-                 "  at any value). Structured diagnostics: --log-out "
-                 "FILE.jsonl\n"
+                 "  --jobs N to size the worker threads (0 = all cores; "
+                 "answers are\n"
+                 "  bit-identical at any value). Structured diagnostics: "
+                 "--log-out FILE.jsonl\n"
                  "  (one JSON event per line), --log-level "
                  "trace|debug|info|warn|error\n"
                  "  (default warn), --crash-dir DIR for flight-recorder "
@@ -127,9 +125,7 @@ subcommandUsage(const std::string &cmd)
                "(default grid)\n"
                "  --budget N     max unique configurations to evaluate "
                "(default 512)\n"
-               "  --jobs N       worker threads and engine relaxation "
-               "lanes\n"
-               "                 (default: all cores / serial)\n"
+               "  --jobs N       worker threads (default: all cores)\n"
                "  --seed N       PRNG seed for randomized strategies\n"
                "  --fifo NAME [--from A] [--to B]\n"
                "                 one explored axis; repeatable (default: "
@@ -174,17 +170,13 @@ subcommandUsage(const std::string &cmd)
                "options:\n"
                "  --seed S       first seed (default 1)\n"
                "  --count N      seeds to sweep (default 1000)\n"
-               "  --jobs N       worker threads and engine relaxation "
-               "lanes\n"
-               "                 (default: all cores / serial)\n"
+               "  --jobs N       worker threads (default: all cores)\n"
                "  --probes K     depth probes per design through the "
                "resimulate/io\n"
                "                 oracles (default 4)\n"
                "  --large        large-regime generator (hundreds to "
                "thousands of\n"
-               "                 processes; exercises the partitioned "
-               "parallel\n"
-               "                 relaxation paths)\n"
+               "                 processes)\n"
                "  --budget SEC   stop starting new seeds after SEC "
                "seconds\n"
                "  --no-shrink    report divergent seeds without "
@@ -211,9 +203,8 @@ subcommandUsage(const std::string &cmd)
                "protocol.\n"
                "\n"
                "options:\n"
-               "  --jobs N       request worker threads and engine "
-               "relaxation\n"
-               "                 lanes (default: all cores / serial)\n"
+               "  --jobs N       request worker threads (default: all "
+               "cores)\n"
                "  --store DIR    persistent run store directory; "
                "rehydrates prior runs\n"
                "                 for warm-cache serving and publishes "
@@ -258,26 +249,6 @@ wantsHelp(const std::vector<std::string> &args)
 struct UsageError : std::runtime_error
 {
     using std::runtime_error::runtime_error;
-};
-
-/**
- * The global --jobs N flag, pre-scanned out of any command line (like
- * --trace-out): one knob sizing both the subcommand worker pools —
- * where 0 keeps their historical all-cores default — and the engine's
- * relaxation lanes (OmniSimOptions::jobs), which stay serial unless
- * the flag is given. Resimulation answers are bit-identical at any
- * value, so this only ever trades wall-clock.
- */
-struct JobsFlag
-{
-    bool set = false;
-    unsigned value = 0;
-
-    /** Worker-pool width (0 = hardware concurrency). */
-    unsigned pool() const { return set ? value : 0; }
-
-    /** Engine relaxation lanes (unset = serial). */
-    unsigned lanes() const { return set ? value : 1; }
 };
 
 /**
@@ -399,8 +370,7 @@ printResult(const SimResult &r, double seconds)
 }
 
 int
-cmdRun(const std::string &name, const std::vector<std::string> &args,
-       const JobsFlag &jobs)
+cmdRun(const std::string &name, const std::vector<std::string> &args)
 {
     std::string engine = "omnisim";
     bool lazy = false;
@@ -444,7 +414,6 @@ cmdRun(const std::string &name, const std::vector<std::string> &args,
     } else if (engine == "omnisim") {
         OmniSimOptions opts;
         opts.eagerWriteStall = !lazy;
-        opts.jobs = jobs.lanes();
         r = simulateOmniSim(cd, opts);
     } else {
         return usage();
@@ -502,7 +471,7 @@ axisDepths(const dse::DseReport &rep, const dse::Evaluation &e)
 
 int
 cmdSweep(const std::string &name, const std::vector<std::string> &args,
-         const JobsFlag &jobs)
+         unsigned jobs)
 {
     // Each "--fifo NAME [--from A] [--to B]" group adds one swept axis;
     // the cross product of all groups runs through the DSE grid
@@ -523,8 +492,7 @@ cmdSweep(const std::string &name, const std::vector<std::string> &args,
 
     dse::DseOptions opts;
     opts.strategy = "grid";
-    opts.jobs = jobs.pool();
-    opts.engine.jobs = jobs.lanes();
+    opts.jobs = jobs;
     opts.budget = 1;
     for (auto &g : groups) {
         g.geometric = false; // sweeps are exhaustive: every depth
@@ -585,11 +553,10 @@ cmdSweep(const std::string &name, const std::vector<std::string> &args,
 
 int
 cmdDse(const std::string &name, const std::vector<std::string> &args,
-       const JobsFlag &jobs)
+       unsigned jobs)
 {
     dse::DseOptions opts;
-    opts.jobs = jobs.pool();
-    opts.engine.jobs = jobs.lanes();
+    opts.jobs = jobs;
     bool linear = false;
     bool csv = false;
     std::string storeDir;
@@ -710,9 +677,8 @@ splitList(const std::string &spec)
 }
 
 int
-cmdBatch(const std::vector<std::string> &args, const JobsFlag &jobsFlag)
+cmdBatch(const std::vector<std::string> &args, unsigned jobs)
 {
-    const unsigned jobs = jobsFlag.pool();
     unsigned seeds = 1;
     std::vector<batch::EngineKind> engines;
     std::vector<std::string> only;
@@ -788,11 +754,10 @@ printConformance(const gen::GenSpec &spec,
 }
 
 int
-cmdFuzz(const std::vector<std::string> &args, const JobsFlag &jobsFlag)
+cmdFuzz(const std::vector<std::string> &args, unsigned jobs)
 {
     std::uint64_t seed0 = 1;
     std::uint64_t count = 1000;
-    const unsigned jobs = jobsFlag.pool();
     std::uint32_t probes = 4;
     double budget = 0.0;
     bool doShrink = true;
@@ -828,7 +793,6 @@ cmdFuzz(const std::vector<std::string> &args, const JobsFlag &jobsFlag)
 
     gen::ConformanceOptions copts;
     copts.resimProbes = probes;
-    copts.jobs = jobsFlag.lanes();
     copts.withVerify = opt::verifyEnabled();
 
     if (!replay.empty()) {
@@ -952,11 +916,10 @@ cmdFuzz(const std::vector<std::string> &args, const JobsFlag &jobsFlag)
 }
 
 int
-cmdServe(const std::vector<std::string> &args, const JobsFlag &jobs)
+cmdServe(const std::vector<std::string> &args, unsigned jobs)
 {
     serve::ServeOptions opts;
-    opts.jobs = jobs.pool();
-    opts.engine.jobs = jobs.lanes();
+    opts.jobs = jobs;
     std::string socketPath;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--store" && i + 1 < args.size()) {
@@ -1050,9 +1013,10 @@ main(int argc, char **argv)
         }
     }
 
-    // Global --jobs N: one knob for every subcommand's worker pool and
-    // the engine's relaxation lanes (see JobsFlag).
-    JobsFlag jobsFlag;
+    // Global --jobs N, pre-scanned out of any command line (like
+    // --trace-out): the worker-thread count of every subcommand's pool
+    // (0, the default, selects all cores).
+    unsigned jobs = 0;
     for (std::size_t i = 0; i < rest.size();) {
         if (rest[i] == "--jobs") {
             if (i + 1 >= rest.size()) {
@@ -1060,12 +1024,11 @@ main(int argc, char **argv)
                 return 2;
             }
             try {
-                jobsFlag.value = parseU32("--jobs", rest[i + 1], 0, 4096);
+                jobs = parseU32("--jobs", rest[i + 1], 0, 4096);
             } catch (const UsageError &e) {
                 std::fprintf(stderr, "error: %s\n", e.what());
                 return 2;
             }
-            jobsFlag.set = true;
             rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(i),
                        rest.begin() + static_cast<std::ptrdiff_t>(i + 2));
         } else {
@@ -1125,25 +1088,22 @@ main(int argc, char **argv)
             return 0;
         }
         if (cmd == "run" && !rest.empty()) {
-            return cmdRun(rest[0],
-                          {rest.begin() + 1, rest.end()}, jobsFlag);
+            return cmdRun(rest[0], {rest.begin() + 1, rest.end()});
         }
         if (cmd == "sweep" && !rest.empty()) {
-            return cmdSweep(rest[0],
-                            {rest.begin() + 1, rest.end()}, jobsFlag);
+            return cmdSweep(rest[0], {rest.begin() + 1, rest.end()}, jobs);
         }
         if (cmd == "dse") {
             if (rest.empty())
                 return subUsageError("dse");
-            return cmdDse(rest[0],
-                          {rest.begin() + 1, rest.end()}, jobsFlag);
+            return cmdDse(rest[0], {rest.begin() + 1, rest.end()}, jobs);
         }
         if (cmd == "batch")
-            return cmdBatch(rest, jobsFlag);
+            return cmdBatch(rest, jobs);
         if (cmd == "serve")
-            return cmdServe(rest, jobsFlag);
+            return cmdServe(rest, jobs);
         if (cmd == "fuzz")
-            return cmdFuzz(rest, jobsFlag);
+            return cmdFuzz(rest, jobs);
     } catch (const UsageError &e) {
         OMNISIM_LOG_ERROR("cli.usage_error", "cmd=%s: %s", cmd.c_str(),
                           e.what());
