@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "design/classify.hh"
 #include "design/context.hh"
 #include "design/frontend.hh"
@@ -187,6 +189,16 @@ struct Table4Row
     DesignType type;
     bool cyclic;
 };
+
+/** Print a row by value. gtest's default dumps the row's bytes, that is
+ *  the address of `name` and the padding, so the ctest name would change
+ *  on every build. */
+void
+PrintTo(const Table4Row &row, std::ostream *os)
+{
+    *os << "(\"" << row.name << "\", " << designTypeName(row.type) << ", "
+        << (row.cyclic ? "cyclic" : "acyclic") << ")";
+}
 
 class Table4Test : public ::testing::TestWithParam<Table4Row>
 {};

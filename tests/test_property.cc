@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "design/context.hh"
@@ -19,9 +20,11 @@ using test::checkedOmniSim;
 using test::fastCosim;
 
 /** Sweep FIFO depths on Type B/C designs: OmniSim must track co-sim
- *  through every depth-induced behavioural change. */
+ *  through every depth-induced behavioural change. The name is a
+ *  std::string so gtest prints it by value, not by address, and the
+ *  ctest names stay the same from build to build. */
 class DepthSweep
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {};
 
 TEST_P(DepthSweep, OmniSimEqualsCosim)
@@ -48,7 +51,7 @@ INSTANTIATE_TEST_SUITE_P(
                           "fig2_timer", "branch"),
         ::testing::Values(1, 2, 3, 5, 16)),
     [](const auto &info) {
-        return std::string(std::get<0>(info.param)) + "_d" +
+        return std::get<0>(info.param) + "_d" +
                std::to_string(std::get<1>(info.param));
     });
 
