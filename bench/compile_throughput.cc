@@ -3,8 +3,8 @@
  * Graph-compilation pipeline effectiveness and cost over the design
  * registry (the tentpole of the src/opt/ work): how much of each
  * frozen run's graph the -O1 pass pipeline eliminates, what that
- * costs at cold-simulate time, and what it buys back when a stored
- * run is rehydrated.
+ * costs at cold-simulate time, and what a stored run of it costs to
+ * keep and to reopen.
  *
  * For every registry design whose baseline run completes Ok:
  *
@@ -16,11 +16,9 @@
  *   cold simulate — end-to-end run() wall time at -O0 vs -O1 (the
  *           pipeline runs inside the freeze, so this prices the
  *           passes themselves).
- *   rehydration — StoredRun::rehydrate() wall time from a decoded
- *           snapshot (recompile through the passes) vs
- *           StoredRun::open() of a run file (persisted layout:
- *           read + decode + validate only), the cross-process payoff
- *           of persisting the compiled form.
+ *   store — the size of the run file the engine's frozen run encodes
+ *           to (what a RunStore publishes) and the wall time of
+ *           StoredRun::open() on it: read, decode, validate, freeze.
  *
  * Results land in BENCH_compile.json (per-design counters, per-pass
  * breakdown, timing columns, totals with the elimination geomean)
@@ -72,21 +70,6 @@ timeOpen(const std::string &path, unsigned reps)
     return sw.seconds() / reps;
 }
 
-/** Mean seconds of one StoredRun::rehydrate (a recompile) of @p snap
- *  over @p reps repetitions; the snapshot copies are not timed. */
-double
-timeRecompile(const RunSnapshot &snap, unsigned reps)
-{
-    double seconds = 0;
-    for (unsigned r = 0; r < reps; ++r) {
-        RunSnapshot copy = snap;
-        Stopwatch sw;
-        (void)io::StoredRun::rehydrate(std::move(copy));
-        seconds += sw.seconds();
-    }
-    return seconds / reps;
-}
-
 void
 emitPasses(JsonWriter &json, const opt::CompileStats &stats)
 {
@@ -130,8 +113,8 @@ main(int argc, char **argv)
         registrySuite(only);
 
     std::cout << "Graph compilation pipeline over the design registry "
-                 "(-O1 freeze vs -O0,\nrun-file rehydration vs "
-                 "recompile-on-load)\n\n";
+                 "(-O1 freeze vs -O0,\nrun-file size and reopen time)"
+                 "\n\n";
 
     fs::create_directories(storeDir);
 
@@ -140,7 +123,7 @@ main(int argc, char **argv)
     json.json().key("designs").beginArray();
 
     TablePrinter t({"Design", "Nodes", "Edges", "Cons", "Elim%",
-                    "Sim O0", "Sim O1", "Recompile", "Open"});
+                    "Sim O0", "Sim O1", "Open ms", "File KB"});
     GeomeanAccum eliminations;
     opt::CompileStats totals;
     bool firstTotal = true;
@@ -170,24 +153,27 @@ main(int argc, char **argv)
         (void)o0.run();
         const double o0Seconds = o0Sw.seconds();
 
-        // Rehydration: persisted layout vs recompile from the snapshot.
-        RunSnapshot snap;
-        if (!o1.exportSnapshot(snap)) {
-            std::cerr << e->name << ": exportSnapshot failed\n";
-            return 1;
+        // Store: the engine's frozen run as a run file, reopened.
+        std::vector<std::uint32_t> depths;
+        std::vector<std::string> labels;
+        for (const auto &f : fe.design->fifos()) {
+            depths.push_back(f.depth);
+            labels.push_back(f.name);
         }
         io::RunFileMeta meta;
         meta.design = e->name;
         meta.engine = "omnisim";
         meta.fingerprint = io::designFingerprint(*fe.design);
+        const std::string image = io::encodeRun(
+            meta, {depths, labels, r1, o1.compiledRun().layout()});
         const std::string path = storeDir + "/" + e->name + ".run";
-        if (!writeImage(path, io::encodeRun(meta, snap))) {
+        if (!writeImage(path, image)) {
             std::cerr << "cannot write run images under " << storeDir
                       << "\n";
             return 1;
         }
-        const double recompileSeconds = timeRecompile(snap, reps);
-        const double openSeconds = timeOpen(path, reps);
+        const double openMs = timeOpen(path, reps) * 1e3;
+        const double fileKb = static_cast<double>(image.size()) / 1024.0;
 
         eliminations.add(stats.elimination());
         if (firstTotal) {
@@ -211,7 +197,7 @@ main(int argc, char **argv)
                            stats.keptConstraints)),
                   strf("%.1f", stats.elimination() * 100.0),
                   fmtSeconds(o0Seconds), fmtSeconds(o1Seconds),
-                  fmtSeconds(recompileSeconds), fmtSeconds(openSeconds)});
+                  strf("%.2f", openMs), strf("%.1f", fileKb)});
 
         json.json().beginObject();
         json.key("name").str(e->name);
@@ -226,10 +212,8 @@ main(int argc, char **argv)
         emitPasses(json.json(), stats);
         json.key("cold_o0_seconds").num(o0Seconds);
         json.key("cold_o1_seconds").num(o1Seconds);
-        json.key("rehydrate_recompile_seconds").num(recompileSeconds);
-        json.key("rehydrate_open_seconds").num(openSeconds);
-        json.key("rehydrate_speedup")
-            .num(openSeconds > 0 ? recompileSeconds / openSeconds : 0.0);
+        json.key("open_ms").num(openMs);
+        json.key("file_kb").num(fileKb);
         json.json().endObject();
     }
     json.json().endArray();

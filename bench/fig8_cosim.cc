@@ -96,8 +96,7 @@ main()
     t.print(std::cout);
     std::cout << "\nGeomean speedup over co-simulation: "
               << fmtSpeedup(speedups.value())
-              << "  (paper: 30.7x geomean, up to 35.9x; see "
-                 "EXPERIMENTS.md for the substitution notes)\n"
+              << "  (paper: 30.7x geomean, up to 35.9x)\n"
               << "Fig. 8(a) deltas are 0.00% by construction in eager "
                  "mode — the paper reports <=0.2%.\n"
               << "Fig. 8(c): front-end compilation (FE) vs core "

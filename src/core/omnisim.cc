@@ -1464,6 +1464,14 @@ OmniSim::compileStats() const
     return data_->compiled->compileStats();
 }
 
+const CompiledRun &
+OmniSim::compiledRun() const
+{
+    omnisim_assert(data_ && data_->valid && data_->compiled != nullptr,
+                   "no compiled run yet");
+    return *data_->compiled;
+}
+
 bool
 OmniSim::exportSnapshot(RunSnapshot &out) const
 {

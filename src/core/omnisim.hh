@@ -45,6 +45,8 @@
 namespace omnisim
 {
 
+class CompiledRun; // graph/compiled_run.hh
+
 /** Engine configuration. */
 struct OmniSimOptions
 {
@@ -101,13 +103,13 @@ struct QueryRecord
 };
 
 /**
- * Self-contained serializable image of one finished successful run:
- * everything CompiledRun rehydration needs — merged node payloads,
- * structural edges, entry-time seeds, the per-FIFO commit tables, the
- * depth vector the run executed under, the recorded constraints, the
- * module tail anchors — plus the baseline SimResult, so a fresh process
- * can serve resimulate() bit-identically without ever re-tracing
- * (src/io/ persists this structure; §7.2 across process boundaries).
+ * Self-contained image of one finished successful run as traced, before
+ * any compilation: merged node payloads, structural edges, entry-time
+ * seeds, the per-FIFO commit tables, the depth vector the run executed
+ * under, the recorded constraints, the module tail anchors, and the
+ * baseline SimResult — the pass pipeline's input (opt::LayoutInput
+ * views it). Graph dumps and compiler tests use it; a run file stores
+ * the compiled layout instead (src/io/).
  */
 struct RunSnapshot
 {
@@ -194,8 +196,15 @@ class OmniSim
     const opt::CompileStats &compileStats() const;
 
     /**
-     * Copy the frozen image of the last successful run into out (the
-     * input to io::encodeRun / io::StoredRun rehydration).
+     * @return the frozen form of the last successful run — what
+     * resimulate() serves from and what a run file persists (src/io/).
+     * Requires a prior successful run().
+     */
+    const CompiledRun &compiledRun() const;
+
+    /**
+     * Copy the traced image of the last successful run into out (the
+     * pass pipeline's input: graph dumps and compiler tests).
      * @return false when there is no valid completed run to export.
      */
     bool exportSnapshot(RunSnapshot &out) const;

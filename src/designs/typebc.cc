@@ -5,7 +5,7 @@
 #include "support/logging.hh"
 
 /*
- * Implementation notes (see also EXPERIMENTS.md):
+ * Implementation notes:
  *
  *  - Every input array carries `overrunSlack` extra elements so that a
  *    producer briefly overrunning its data while a done signal is in

@@ -4,8 +4,7 @@
  * suite the paper built because no existing HLS suite contains designs
  * that C-level simulation cannot handle. Each builder returns a fresh
  * Design; see typebc.cc for the per-design structure and the deltas from
- * the paper's (unpublished-source) versions, which are also recorded in
- * EXPERIMENTS.md.
+ * the paper's (unpublished-source) versions.
  */
 
 #ifndef OMNISIM_DESIGNS_TYPEBC_HH

@@ -352,13 +352,16 @@ EvalCache::computeFresh(const DepthVector &depths, bool allowIncremental)
         e.latency = r.ok() ? r.totalCycles : 0;
 
         if (r.ok()) {
-            // Publish outside the lock (file IO); failures only cost
-            // future processes their warm start.
+            // Publish the engine's own frozen run outside the lock (file
+            // IO); failures only cost future processes their warm start.
             if (store_) {
-                RunSnapshot snap;
-                if (entry->engine->exportSnapshot(snap))
-                    store_->publish(storeDesign_, storeEngine_,
-                                    storeFingerprint_, snap);
+                std::vector<std::string> labels;
+                for (const auto &f : entry->design->fifos())
+                    labels.push_back(f.name);
+                store_->publish(storeDesign_, storeEngine_,
+                                storeFingerprint_,
+                                {depths, labels, r,
+                                 entry->engine->compiledRun().layout()});
             }
             sync::LockGuard lock(mu_);
             if (pool_.size() < maxPool_)

@@ -282,30 +282,26 @@ checkConformance(const GenSpec &spec, const ConformanceOptions &opts)
     for (const auto &f : d.fifos())
         base.push_back(f.depth);
 
-    // Rehydrate the exported snapshot once; every probe then checks the
-    // stored run against the live engine.
+    // Encode the engine's frozen run and reopen it the way the store
+    // does (bytes -> decode -> validate -> freeze); every probe then
+    // checks the stored run against the live engine.
     std::unique_ptr<io::StoredRun> stored;
     if (opts.withIo) {
         try {
-            RunSnapshot snap;
-            if (!engine.exportSnapshot(snap)) {
-                div("io-round-trip", "exportSnapshot refused an Ok run");
-            } else {
-                io::RunFileMeta meta;
-                meta.design = d.name();
-                meta.engine = "omnisim";
-                meta.fingerprint = io::designFingerprint(d);
-                const std::string bytes = io::encodeRun(meta, snap);
-                io::RunFileMeta meta2;
-                RunSnapshot snap2;
-                io::decodeRun(bytes, meta2, snap2);
-                if (meta2.design != meta.design ||
-                    meta2.engine != meta.engine ||
-                    meta2.fingerprint != meta.fingerprint)
-                    div("io-round-trip", "meta block did not round-trip");
-                else
-                    stored = io::StoredRun::rehydrate(std::move(snap2),
-                                                      std::move(meta2));
+            std::vector<std::string> labels;
+            for (const auto &f : d.fifos())
+                labels.push_back(f.name);
+            io::RunFileMeta meta;
+            meta.design = d.name();
+            meta.engine = "omnisim";
+            meta.fingerprint = io::designFingerprint(d);
+            stored = io::StoredRun::decode(io::encodeRun(
+                meta, {base, labels, om, engine.compiledRun().layout()}));
+            if (stored->meta().design != meta.design ||
+                stored->meta().engine != meta.engine ||
+                stored->meta().fingerprint != meta.fingerprint) {
+                div("io-round-trip", "meta block did not round-trip");
+                stored.reset();
             }
         } catch (const std::exception &e) {
             div("io-round-trip", e.what());

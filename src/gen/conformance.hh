@@ -24,10 +24,11 @@
  *                           bit-identically (reuse decision, divergence
  *                           reason, cycles, memories — the delta-path
  *                           flag may differ, the answers may not).
- *   run_io round trip     — encodeRun -> decodeRun -> StoredRun
- *                           rehydration must echo the meta block and
- *                           serve the same depth probes bit-identically
- *                           to the originating engine.
+ *   run_io round trip     — the engine's frozen run, encoded and
+ *                           reopened the way the store reopens it
+ *                           (StoredRun::decode), must echo the meta
+ *                           block and serve the same depth probes
+ *                           bit-identically to the originating engine.
  *   serve-protocol echo   — the result serialized through the serve
  *                           JSON layer and parsed back must be exact
  *                           (64-bit cycle counts and memory words

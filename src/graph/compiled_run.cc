@@ -61,26 +61,48 @@ struct OverlayView
 };
 
 /** Original-graph baseline WAR edge count (the engine's graphEdges
- *  stat keeps pre-pass semantics at every opt level). */
+ *  stat keeps pre-pass semantics at every opt level). The per-write
+ *  blocking flags cover pruned entries too, so the layout alone knows. */
 std::size_t
-countBaseWarEdges(const std::vector<NodeInfo> &nodes,
-                  const std::vector<FifoTable> &tables,
+countBaseWarEdges(const opt::RunLayout &lay,
                   const std::vector<std::uint32_t> &depths)
 {
     std::size_t count = 0;
-    for (std::size_t f = 0; f < tables.size(); ++f) {
-        const FifoTable &t = tables[f];
+    for (std::size_t f = 0; f < lay.fifos.size(); ++f) {
+        const opt::FifoLayout &fl = lay.fifos[f];
         const std::uint64_t s = depths[f];
-        for (std::uint64_t w = s + 1; w <= t.writes(); ++w) {
-            if (w - s > t.reads())
-                continue;
-            const std::uint64_t v =
-                t.writeNodeOf(static_cast<std::uint32_t>(w));
-            if (nodes[v].kind == EventKind::FifoWrite)
+        for (std::uint64_t w = s + 1; w <= fl.writeNode.size(); ++w)
+            if (w - s <= fl.readNode.size() && fl.writeBlocking[w - 1])
                 ++count;
-        }
     }
     return count;
+}
+
+/** Compile a finished run through the pass pipeline. */
+opt::RunLayout
+compileLayout(const std::vector<NodeInfo> &nodes,
+              const std::vector<CsrGraph::EdgeSpec> &structural,
+              const std::vector<Cycles> &seed,
+              const std::vector<FifoTable> &tables,
+              const std::vector<std::uint32_t> &baseDepths,
+              const std::vector<QueryRecord> &constraints,
+              const std::vector<std::uint64_t> &tailNode,
+              const std::vector<Cycles> &tailSlack, opt::OptLevel level)
+{
+    omnisim_assert(seed.size() == nodes.size(),
+                   "compiled run: seed/node mismatch");
+    omnisim_assert(baseDepths.size() == tables.size(),
+                   "compiled run: depth/table mismatch");
+    opt::LayoutInput in;
+    in.nodes = &nodes;
+    in.edges = &structural;
+    in.seed = &seed;
+    in.tables = &tables;
+    in.depths = &baseDepths;
+    in.constraints = &constraints;
+    in.tailNode = &tailNode;
+    in.tailSlack = &tailSlack;
+    return opt::PassManager(level).compile(in);
 }
 
 } // namespace
@@ -98,50 +120,22 @@ CompiledRun::CompiledRun(const std::vector<NodeInfo> &nodes,
                          const std::vector<CsrGraph::EdgeSpec> &structural,
                          const std::vector<Cycles> &seed,
                          const std::vector<FifoTable> &tables,
-                         std::vector<std::uint32_t> baseDepths,
+                         const std::vector<std::uint32_t> &baseDepths,
                          const std::vector<QueryRecord> &constraints,
-                         std::vector<std::uint64_t> tailNode,
-                         std::vector<Cycles> tailSlack,
+                         const std::vector<std::uint64_t> &tailNode,
+                         const std::vector<Cycles> &tailSlack,
                          opt::OptLevel level)
-    : fwd_(0, {}), rev_(0, {})
-{
-    omnisim_assert(seed.size() == nodes.size(),
-                   "compiled run: seed/node mismatch");
-    omnisim_assert(baseDepths.size() == tables.size(),
-                   "compiled run: depth/table mismatch");
-
-    opt::LayoutInput in;
-    in.nodes = &nodes;
-    in.edges = &structural;
-    in.seed = &seed;
-    in.tables = &tables;
-    in.depths = &baseDepths;
-    in.constraints = &constraints;
-    in.tailNode = &tailNode;
-    in.tailSlack = &tailSlack;
-    lay_ = opt::PassManager(level).compile(in);
-
-    origNodes_ = nodes.size();
-    structuralEdges_ = structural.size();
-    baseWarEdges_ = countBaseWarEdges(nodes, tables, baseDepths);
-    baseDepths_ = clampDepths(baseDepths);
-    freeze();
-}
-
-CompiledRun::CompiledRun(const RunSnapshot &snap, opt::OptLevel level)
-    : CompiledRun(snap.nodes, snap.edges, snap.seed, snap.tables,
-                  snap.depths, snap.constraints, snap.tailNode,
-                  snap.tailSlack, level)
+    : CompiledRun(compileLayout(nodes, structural, seed, tables, baseDepths,
+                                constraints, tailNode, tailSlack, level),
+                  baseDepths)
 {}
 
-CompiledRun::CompiledRun(const RunSnapshot &snap, opt::RunLayout layout)
+CompiledRun::CompiledRun(opt::RunLayout layout,
+                         const std::vector<std::uint32_t> &baseDepths)
     : lay_(std::move(layout)), fwd_(0, {}), rev_(0, {})
 {
-    origNodes_ = snap.nodes.size();
-    structuralEdges_ = snap.edges.size();
-    baseWarEdges_ =
-        countBaseWarEdges(snap.nodes, snap.tables, snap.depths);
-    baseDepths_ = clampDepths(snap.depths);
+    baseDepths_ = clampDepths(baseDepths);
+    baseWarEdges_ = countBaseWarEdges(lay_, baseDepths_);
     freeze();
 }
 

@@ -48,7 +48,7 @@
  * delta sweep allows bounded re-sweeps and the full fallback is the
  * Kahn pass, which is also what proves infeasibility. The certificate
  * is a pure function of the frozen structure, so a live engine and a
- * rehydrated StoredRun always pick the same path.
+ * StoredRun reopened from its layout always pick the same path.
  *
  * Every path is bit-identical to the pre-compiled reference
  * implementation (OmniSim::resimulateReference): identical reuse
@@ -74,7 +74,6 @@ namespace omnisim
 {
 
 struct QueryRecord; // core/omnisim.hh
-struct RunSnapshot; // core/omnisim.hh
 
 /**
  * Immutable compiled snapshot of one finished run. All mutable state of
@@ -120,13 +119,13 @@ class CompiledRun
     };
 
     /**
-     * Freeze a finished run through the compilation pipeline.
+     * Freeze a finished run: compile it through the pass pipeline, then
+     * solve the layout (the constructor below).
      *
      * @param nodes       per-node payloads (durations are copied out).
      * @param structural  depth-independent constraint edges.
      * @param seed        per-node minimum start times (size == nodes).
-     * @param tables      per-FIFO commit tables (read during
-     *                    construction only).
+     * @param tables      per-FIFO commit tables.
      * @param baseDepths  FIFO depths the run executed under.
      * @param constraints recorded query outcomes (copied into the
      *                    layout's kept list).
@@ -138,34 +137,22 @@ class CompiledRun
                 const std::vector<CsrGraph::EdgeSpec> &structural,
                 const std::vector<Cycles> &seed,
                 const std::vector<FifoTable> &tables,
-                std::vector<std::uint32_t> baseDepths,
+                const std::vector<std::uint32_t> &baseDepths,
                 const std::vector<QueryRecord> &constraints,
-                std::vector<std::uint64_t> tailNode,
-                std::vector<Cycles> tailSlack,
+                const std::vector<std::uint64_t> &tailNode,
+                const std::vector<Cycles> &tailSlack,
                 opt::OptLevel level = opt::OptLevel::O1);
 
     /**
-     * Rehydration constructor: freeze a run deserialized in a fresh
-     * process (src/io/). Equivalent to the primary constructor over the
-     * snapshot's fields — the pass pipeline is deterministic and the
-     * baseline solve, topological order, and constraint index are all
-     * recomputed, so a rehydrated run is bit-identical to the run
-     * frozen in the originating process. The snapshot must already be
-     * validated (io::validateSnapshot): index invariants are asserted,
-     * not tolerated, here.
+     * Freeze an already compiled layout: the tail of the constructor
+     * above, and all of a StoredRun's rehydration from a run file
+     * (src/io/), which persists the engine's own layout. The layout
+     * must pass opt::verifyIndices and carry its accessor arrays
+     * (RunLayout::rebuildAccessMaps); @p baseDepths has one entry per
+     * FIFO.
      */
-    explicit CompiledRun(const RunSnapshot &snap,
-                         opt::OptLevel level = opt::OptLevel::O1);
-
-    /**
-     * Fast rehydration from a layout persisted in an OMSIMRUN file:
-     * skips the pass pipeline (and its whole-graph analyses) and only
-     * re-solves the already-optimized layout. The layout must have been
-     * produced by PassManager over this same snapshot (the decoder
-     * validates structural invariants; equivalence is the writer's
-     * contract).
-     */
-    CompiledRun(const RunSnapshot &snap, opt::RunLayout layout);
+    CompiledRun(opt::RunLayout layout,
+                const std::vector<std::uint32_t> &baseDepths);
 
     /** @return false when even the baseline WAR overlay has a timing
      *  cycle (only reachable in lazy write-stall mode). */
@@ -181,15 +168,14 @@ class CompiledRun
      *  module tail, collapsed-node floor). */
     Cycles baselineTotalCycles() const { return baseTotal_; }
 
-    /** @return node count of the original (pre-pass) structural graph. */
-    std::size_t numNodes() const { return origNodes_; }
-
     /** @return original structural plus baseline-synthesized WAR edge
      *  count (the figure the engine reports as graphEdges). */
-    std::size_t numEdges() const { return structuralEdges_ + baseWarEdges_; }
+    std::size_t numEdges() const
+    {
+        return lay_.stats.origEdges + baseWarEdges_;
+    }
 
-    /** @return the compiled layout (optimized graph, remap table, pass
-     *  statistics). */
+    /** @return the compiled layout (optimized graph, pass statistics). */
     const opt::RunLayout &layout() const { return lay_; }
 
     /** @return pass pipeline statistics for this run. */
@@ -206,7 +192,7 @@ class CompiledRun
     Attempt resimulate(const std::vector<std::uint32_t> &depths) const;
 
   private:
-    /** Shared tail of every constructor: solve the layout. */
+    /** Solve the layout (the body of the layout constructor). */
     void freeze();
 
     /** Adopt a topological order as the cached rank. */
@@ -264,8 +250,6 @@ class CompiledRun
     CsrGraph fwd_;                      ///< Structural out-edges.
     CsrGraph rev_;                      ///< Structural in-edges.
     std::vector<std::uint32_t> baseDepths_; ///< Clamped baseline.
-    std::size_t origNodes_ = 0;
-    std::size_t structuralEdges_ = 0;   ///< Original-graph count.
     std::size_t baseWarEdges_ = 0;      ///< Original-graph count.
     std::vector<std::uint32_t> indegStructural_;
 

@@ -108,7 +108,7 @@ struct StoreMetrics
 
 bool
 RunStore::publish(const std::string &design, const std::string &engine,
-                  std::uint64_t fingerprint, const RunSnapshot &snap) const
+                  std::uint64_t fingerprint, const RunRecord &run) const
 {
     StoreMetrics &sm = StoreMetrics::get();
     OMNISIM_SPAN("store.publish");
@@ -118,9 +118,9 @@ RunStore::publish(const std::string &design, const std::string &engine,
     meta.design = design;
     meta.engine = engine;
     meta.fingerprint = fingerprint;
-    const std::string image = encodeRun(meta, snap);
+    const std::string image = encodeRun(meta, run);
 
-    const std::string finalPath = pathFor(design, engine, snap.depths);
+    const std::string finalPath = pathFor(design, engine, run.depths);
     const std::string tmpPath = finalPath + tempSuffix();
 
     std::FILE *f = std::fopen(tmpPath.c_str(), "wb");
@@ -215,12 +215,15 @@ RunStore::loadAll(const std::string &design, const std::string &engine,
             std::unique_ptr<StoredRun> run = StoredRun::open(path);
             if (run->meta().design != design ||
                 run->meta().engine != engine ||
-                run->meta().fingerprint != fingerprint)
+                run->meta().fingerprint != fingerprint) {
+                sm.loadMisses.add(); // stale design
                 continue;
+            }
             out.push_back(std::move(run));
         } catch (const FatalError &e) {
             warn(strf("run store: ignoring unreadable '%s': %s",
                       path.c_str(), e.what()));
+            sm.loadMisses.add();
         }
     }
     sm.loadHits.add(out.size());

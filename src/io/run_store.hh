@@ -49,13 +49,14 @@ class RunStore
                         const std::vector<std::uint32_t> &depths) const;
 
     /**
-     * Atomically publish a run. Overwrites any previous entry with the
-     * same key (rename-over is atomic on POSIX). IO failures are
-     * reported by the return value — a full disk must not take down a
-     * simulation service.
+     * Atomically publish a finished run (see RunRecord), keyed by the
+     * depths it ran under. Overwrites any previous entry with the same
+     * key (rename-over is atomic on POSIX). IO failures are reported by
+     * the return value — a full disk must not take down a simulation
+     * service.
      */
     bool publish(const std::string &design, const std::string &engine,
-                 std::uint64_t fingerprint, const RunSnapshot &snap) const;
+                 std::uint64_t fingerprint, const RunRecord &run) const;
 
     /**
      * Load the run recorded for exactly (design, engine, depths).
@@ -71,7 +72,8 @@ class RunStore
     /**
      * Load every run stored for (design, engine) whose fingerprint
      * matches, up to maxCount, in deterministic (sorted filename)
-     * order. Unreadable or stale entries are skipped.
+     * order. Unreadable or stale entries are skipped and, like load()'s
+     * misses, counted in store.load_misses.
      */
     std::vector<std::unique_ptr<StoredRun>>
     loadAll(const std::string &design, const std::string &engine,

@@ -1,9 +1,11 @@
 /**
  * @file
  * Endian-stable binary serialization primitives for the persistent run
- * store (src/io/). Every multi-byte integer is encoded little-endian
- * byte-by-byte, so files written on any host decode identically on any
- * other — no memcpy of host-order structs, no padding, no UB.
+ * store (src/io/). Every multi-byte integer is encoded little-endian,
+ * so files written on any host decode identically on any other — no
+ * host-order struct dumps, no padding, no UB. Integer arrays move in
+ * bulk: one buffer growth per encoded array and one bounds check per
+ * decoded one (a single memcpy where host order is little-endian).
  *
  * ByteReader is the untrusted-input half: every read is bounds-checked
  * and a malformed length prefix throws FatalError before any allocation
@@ -15,9 +17,12 @@
 #ifndef OMNISIM_IO_SERIAL_HH
 #define OMNISIM_IO_SERIAL_HH
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "support/logging.hh"
@@ -25,35 +30,45 @@
 namespace omnisim::io
 {
 
+/** Store v little-endian into the sizeof(T) bytes at p. */
+template <typename T>
+inline void
+storeLe(char *p, T v)
+{
+    using U = std::make_unsigned_t<T>;
+    const U u = static_cast<U>(v);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, &u, sizeof(U));
+    } else {
+        for (std::size_t i = 0; i < sizeof(U); ++i)
+            p[i] = static_cast<char>((u >> (8 * i)) & 0xff);
+    }
+}
+
+/** Load a little-endian T from the sizeof(T) bytes at p. */
+template <typename T>
+inline T
+loadLe(const char *p)
+{
+    using U = std::make_unsigned_t<T>;
+    U u = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&u, p, sizeof(U));
+    } else {
+        for (std::size_t i = 0; i < sizeof(U); ++i)
+            u |= static_cast<U>(static_cast<unsigned char>(p[i]))
+                 << (8 * i);
+    }
+    return static_cast<T>(u);
+}
+
 /** Append-only little-endian encoder. */
 class ByteWriter
 {
   public:
-    void
-    u8(std::uint8_t v)
-    {
-        buf_.push_back(static_cast<char>(v));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-
-    void
-    i64(std::int64_t v)
-    {
-        u64(static_cast<std::uint64_t>(v));
-    }
+    void u8(std::uint8_t v) { storeLe(grow(1), v); }
+    void u32(std::uint32_t v) { storeLe(grow(4), v); }
+    void u64(std::uint64_t v) { storeLe(grow(8), v); }
 
     /** Length-prefixed (u64) byte string. */
     void
@@ -70,7 +85,38 @@ class ByteWriter
         buf_.append(data, n);
     }
 
-    const std::string &bytes() const { return buf_; }
+    /** Count-prefixed (u64) array of fixed-width integers. */
+    template <typename T>
+    void
+    array(const std::vector<T> &v)
+    {
+        u64(v.size());
+        char *p = grow(v.size() * sizeof(T));
+        if constexpr (std::endian::native == std::endian::little) {
+            if (!v.empty())
+                std::memcpy(p, v.data(), v.size() * sizeof(T));
+        } else {
+            for (const T x : v) {
+                storeLe(p, x);
+                p += sizeof(T);
+            }
+        }
+    }
+
+    /** Append n bytes for the caller to fill: one growth for a whole
+     *  array of fixed-size records. */
+    char *
+    grow(std::size_t n)
+    {
+        const std::size_t at = buf_.size();
+        buf_.resize(at + n);
+        return buf_.data() + at;
+    }
+
+    /** Overwrite already-written bytes (header fields known last). */
+    char *at(std::size_t pos) { return buf_.data() + pos; }
+
+    std::string_view view() const { return buf_; }
     std::string take() { return std::move(buf_); }
     std::size_t size() const { return buf_.size(); }
 
@@ -86,62 +132,44 @@ class ByteReader
 
     std::size_t remaining() const { return p_.size() - pos_; }
     bool atEnd() const { return pos_ == p_.size(); }
-    std::size_t position() const { return pos_; }
 
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return static_cast<std::uint8_t>(p_[pos_++]);
-    }
-
-    std::uint32_t
-    u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<std::uint8_t>(p_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<std::uint8_t>(p_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 8;
-        return v;
-    }
-
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+    std::uint8_t u8() { return loadLe<std::uint8_t>(take(1)); }
+    std::uint32_t u32() { return loadLe<std::uint32_t>(take(4)); }
+    std::uint64_t u64() { return loadLe<std::uint64_t>(take(8)); }
 
     /** Length-prefixed byte string; the length must fit the input. */
     std::string
     str()
     {
-        const std::uint64_t n = u64();
-        need(n);
-        std::string s(p_.substr(pos_, static_cast<std::size_t>(n)));
-        pos_ += static_cast<std::size_t>(n);
-        return s;
+        const std::size_t n = count(1);
+        return std::string(take(n), n);
     }
 
     /** Raw bytes, no length prefix. */
     std::string_view
     raw(std::size_t n)
     {
-        need(n);
-        std::string_view v = p_.substr(pos_, n);
-        pos_ += n;
-        return v;
+        return std::string_view(take(n), n);
+    }
+
+    /** Count-prefixed array of fixed-width integers, checked against
+     *  the remaining input once. */
+    template <typename T>
+    void
+    array(std::vector<T> &out)
+    {
+        const std::size_t n = count(sizeof(T));
+        const char *p = take(n * sizeof(T));
+        out.resize(n);
+        if constexpr (std::endian::native == std::endian::little) {
+            if (n > 0)
+                std::memcpy(out.data(), p, n * sizeof(T));
+        } else {
+            for (T &x : out) {
+                x = loadLe<T>(p);
+                p += sizeof(T);
+            }
+        }
     }
 
     /**
@@ -162,9 +190,20 @@ class ByteReader
         return static_cast<std::size_t>(n);
     }
 
+    /** The next n bytes, bounds-checked once; the cursor moves past
+     *  them. */
+    const char *
+    take(std::size_t n)
+    {
+        need(n);
+        const char *p = p_.data() + pos_;
+        pos_ += n;
+        return p;
+    }
+
   private:
     void
-    need(std::uint64_t n)
+    need(std::size_t n)
     {
         if (n > remaining())
             omnisim_fatal("run file truncated: need %llu bytes at offset "
@@ -177,12 +216,16 @@ class ByteReader
     std::size_t pos_;
 };
 
-/** FNV-1a 64-bit hash (file checksums and store keys). */
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/** FNV-1a 64-bit hash, one byte per step (fingerprints and store
+ *  keys). */
 inline std::uint64_t
-fnv1a(std::string_view bytes, std::uint64_t h = 1469598103934665603ull)
+fnv1a(std::string_view bytes, std::uint64_t h = kFnvOffset)
 {
     for (const char c : bytes)
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+        h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
     return h;
 }
 
@@ -191,7 +234,25 @@ inline std::uint64_t
 fnv1aU64(std::uint64_t v, std::uint64_t h)
 {
     for (int i = 0; i < 8; ++i)
-        h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
+        h = (h ^ ((v >> (8 * i)) & 0xff)) * kFnvPrime;
+    return h;
+}
+
+/**
+ * Run-file payload checksum: FNV-1a folding one little-endian 8-byte
+ * word per step, then the tail bytes one at a time. Each step is a
+ * bijection of the state (xor a word, multiply by an odd prime), so
+ * corrupting any single word or tail byte changes the sum.
+ */
+inline std::uint64_t
+payloadChecksum(std::string_view bytes)
+{
+    std::uint64_t h = kFnvOffset;
+    std::size_t i = 0;
+    for (; i + 8 <= bytes.size(); i += 8)
+        h = (h ^ loadLe<std::uint64_t>(bytes.data() + i)) * kFnvPrime;
+    for (; i < bytes.size(); ++i)
+        h = (h ^ static_cast<unsigned char>(bytes[i])) * kFnvPrime;
     return h;
 }
 

@@ -10,7 +10,8 @@
  * subgraphs, pruned constraints, and per-FIFO access maps restricted to
  * the entries that can still matter under some depth vector.
  *
- * Invariants the passes guarantee (and the run-file decoder validates):
+ * Invariants the passes guarantee (and the run-file decoder validates,
+ * see opt::verifyIndices):
  *  - every kept FIFO access entry maps to a live layout node;
  *  - every kept constraint's node and reachable targets are live;
  *  - node times of live layout nodes equal the original nodes' times at
@@ -54,6 +55,11 @@ struct FifoLayout
 
     /** w-th committed write's layout node, or kNoNode likewise. */
     std::vector<std::uint32_t> writeNode;
+
+    /** writeBlocking[w-1] == 1 when the w-th write was committed by a
+     *  *blocking* write (the only kind that may carry a WAR in-edge);
+     *  one flag per write entry, pruned or not. */
+    std::vector<std::uint8_t> writeBlocking;
 
     /** Depth clamp: probing any depth >= writes+1 behaves identically
      *  to writes+1 (no WAR edge exists and every write-kind constraint
@@ -102,18 +108,17 @@ struct RunLayout
     Cycles floor = 0;
 
     /** Original node id -> layout id of its live image (itself, or the
-     *  representative it was deduplicated into), or kDropped. */
+     *  representative it was deduplicated into), or kDropped. Empty in a
+     *  layout read back from a run file, which does not keep it: the
+     *  solver never reads it. */
     std::vector<std::uint32_t> remap;
 
     CompileStats stats;
 
-    /** Rebuild accFifo/accIdx/accWrite/accBlockingWrite + the per-FIFO
-     *  blocking counts from fifos[]. writeBlocking[f][w-1] says whether
-     *  the w-th write of FIFO f was committed by a *blocking* write (the
-     *  only kind that may carry a WAR in-edge). Used by the pass manager
-     *  and the run-file decoder. */
-    void rebuildAccessMaps(
-        const std::vector<std::vector<std::uint8_t>> &writeBlocking);
+    /** Rebuild accFifo/accIdx/accWrite/accBlockingWrite, the per-FIFO
+     *  caps and the blocking counts from fifos[]. Used by the pass
+     *  manager and the run-file decoder. */
+    void rebuildAccessMaps();
 };
 
 } // namespace omnisim::opt

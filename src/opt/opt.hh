@@ -44,6 +44,8 @@ struct PassStats
     std::uint64_t nodesEliminated = 0;
     std::uint64_t edgesEliminated = 0;
     std::uint64_t constraintsEliminated = 0;
+
+    bool operator==(const PassStats &) const = default;
 };
 
 /** Aggregate outcome of compiling one run. */
@@ -72,6 +74,8 @@ struct CompileStats
 
     /** Merge another run's counters into this one (serve stats). */
     void accumulate(const CompileStats &other);
+
+    bool operator==(const CompileStats &) const = default;
 };
 
 } // namespace omnisim::opt

@@ -45,8 +45,7 @@ CompileStats::accumulate(const CompileStats &other)
 }
 
 void
-RunLayout::rebuildAccessMaps(
-    const std::vector<std::vector<std::uint8_t>> &writeBlocking)
+RunLayout::rebuildAccessMaps()
 {
     accFifo.assign(numNodes, -1);
     accIdx.assign(numNodes, 0);
@@ -63,7 +62,7 @@ RunLayout::rebuildAccessMaps(
             accFifo[v] = static_cast<std::int32_t>(f);
             accIdx[v] = static_cast<std::uint32_t>(w + 1);
             accWrite[v] = 1;
-            if (writeBlocking[f][w]) {
+            if (fl.writeBlocking[w]) {
                 accBlockingWrite[v] = 1;
                 ++fl.blockingWrites;
             }
@@ -229,8 +228,7 @@ materialize(Build &b, OptLevel level, std::vector<PassStats> passes)
     lay.level = level;
 
     // Resolve merge chains, then assign dense ids to live nodes in
-    // ascending original id (determinism matters: a rehydrated layout
-    // must match the one the live engine froze).
+    // ascending original id (the order [remap-bijective] checks).
     std::vector<std::uint32_t> rep(b.n);
     for (std::size_t v = 0; v < b.n; ++v) {
         std::uint32_t r = static_cast<std::uint32_t>(v);
@@ -275,13 +273,12 @@ materialize(Build &b, OptLevel level, std::vector<PassStats> passes)
 
     const auto &tables = *in.tables;
     lay.fifos.resize(tables.size());
-    std::vector<std::vector<std::uint8_t>> writeBlocking(tables.size());
     for (std::size_t f = 0; f < tables.size(); ++f) {
         const FifoTable &t = tables[f];
         FifoLayout &fl = lay.fifos[f];
         fl.readNode.assign(t.reads(), kNoNode);
         fl.writeNode.assign(t.writes(), kNoNode);
-        writeBlocking[f].assign(t.writes(), 0);
+        fl.writeBlocking.assign(t.writes(), 0);
         for (std::uint32_t i = 1; i <= t.reads(); ++i) {
             if (!b.readKept[f][i - 1])
                 continue;
@@ -291,7 +288,7 @@ materialize(Build &b, OptLevel level, std::vector<PassStats> passes)
             fl.readNode[i - 1] = id;
         }
         for (std::uint32_t i = 1; i <= t.writes(); ++i) {
-            writeBlocking[f][i - 1] = b.accBlocking[t.writeNodeOf(i)];
+            fl.writeBlocking[i - 1] = b.accBlocking[t.writeNodeOf(i)];
             if (!b.writeKept[f][i - 1])
                 continue;
             const std::uint32_t id = lay.remap[t.writeNodeOf(i)];
@@ -300,7 +297,7 @@ materialize(Build &b, OptLevel level, std::vector<PassStats> passes)
             fl.writeNode[i - 1] = id;
         }
     }
-    lay.rebuildAccessMaps(writeBlocking);
+    lay.rebuildAccessMaps();
 
     const auto &cons = *in.constraints;
     for (std::size_t i = 0; i < cons.size(); ++i) {

@@ -75,9 +75,7 @@ class PassManager
     std::vector<const char *> passNames() const;
 
     /** Compile a finished run into a RunLayout. Deterministic: the same
-     *  input always produces the same layout byte for byte, which is
-     *  what keeps a rehydrated store run bit-identical to the engine
-     *  that froze it. */
+     *  input always produces the same layout byte for byte. */
     RunLayout compile(const LayoutInput &in) const;
 
   private:

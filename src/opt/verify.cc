@@ -8,6 +8,7 @@
 #include "core/omnisim.hh"
 #include "graph/simgraph.hh"
 #include "obs/log.hh"
+#include "opt/pass_manager.hh"
 #include "runtime/fifo_table.hh"
 #include "support/logging.hh"
 
@@ -83,14 +84,6 @@ checkShape(const RunLayout &lay, const VerifyContext &ctx)
         failVerify(ctx, "shape",
                    strf("%zu seeds / %zu durations for %zu nodes",
                         lay.seed.size(), lay.dur.size(), n));
-    if (lay.accFifo.size() != n || lay.accIdx.size() != n ||
-        lay.accWrite.size() != n || lay.accBlockingWrite.size() != n)
-        failVerify(ctx, "shape",
-                   strf("accessor arrays sized %zu/%zu/%zu/%zu for %zu "
-                        "nodes",
-                        lay.accFifo.size(), lay.accIdx.size(),
-                        lay.accWrite.size(), lay.accBlockingWrite.size(),
-                        n));
 }
 
 void
@@ -128,7 +121,10 @@ checkRemap(const RunLayout &lay, const VerifyContext &ctx)
     // *smaller* original ids. So walking the remap table in original-id
     // order, the first occurrences of layout ids must be exactly
     // 0, 1, 2, ... — which also proves surjectivity (every layout node
-    // has a preimage) and catches collisions (a lost preimage).
+    // has a preimage) and catches collisions (a lost preimage). A layout
+    // read back from a run file keeps no remap table.
+    if (lay.remap.empty())
+        return;
     std::vector<std::uint8_t> seen(n, 0);
     std::uint32_t next = 0;
     for (std::size_t v = 0; v < lay.remap.size(); ++v) {
@@ -162,10 +158,20 @@ checkFifos(const RunLayout &lay, const VerifyContext &ctx)
     const std::size_t n = lay.numNodes;
     for (std::size_t f = 0; f < lay.fifos.size(); ++f) {
         const FifoLayout &fl = lay.fifos[f];
-        if (fl.cap != fl.writeNode.size() + 1)
+        // Access indices and the cap (writes + 1) are 32-bit.
+        if (fl.writeNode.size() >= kNoNode)
             failVerify(ctx, "fifo-cap",
-                       strf("fifo %zu cap %u != writes %zu + 1", f,
-                            fl.cap, fl.writeNode.size()));
+                       strf("fifo %zu has %zu writes", f,
+                            fl.writeNode.size()));
+        if (fl.readNode.size() > fl.writeNode.size())
+            failVerify(ctx, "fifo-cap",
+                       strf("fifo %zu has %zu reads but only %zu writes",
+                            f, fl.readNode.size(), fl.writeNode.size()));
+        if (fl.writeBlocking.size() != fl.writeNode.size())
+            failVerify(ctx, "fifo-cap",
+                       strf("fifo %zu has %zu blocking flags for %zu "
+                            "writes", f, fl.writeBlocking.size(),
+                            fl.writeNode.size()));
         for (const std::uint32_t v : fl.readNode)
             if (v != kNoNode && v >= n)
                 failVerify(ctx, "fifo-cap",
@@ -182,20 +188,34 @@ checkFifos(const RunLayout &lay, const VerifyContext &ctx)
 void
 checkAccessMaps(const RunLayout &lay, const VerifyContext &ctx)
 {
+    const std::size_t n = lay.numNodes;
+    if (lay.accFifo.size() != n || lay.accIdx.size() != n ||
+        lay.accWrite.size() != n || lay.accBlockingWrite.size() != n)
+        failVerify(ctx, "shape",
+                   strf("accessor arrays sized %zu/%zu/%zu/%zu for %zu "
+                        "nodes",
+                        lay.accFifo.size(), lay.accIdx.size(),
+                        lay.accWrite.size(), lay.accBlockingWrite.size(),
+                        n));
+
     // fifos[] and the O(1) accessor arrays are two views of one map;
     // walk the forward direction and mark what we covered, then demand
     // the reverse direction points at nothing else.
-    const std::size_t n = lay.numNodes;
     std::vector<std::uint8_t> covered(n, 0);
     for (std::size_t f = 0; f < lay.fifos.size(); ++f) {
         const FifoLayout &fl = lay.fifos[f];
+        if (fl.cap != fl.writeNode.size() + 1)
+            failVerify(ctx, "fifo-cap",
+                       strf("fifo %zu cap %u != writes %zu + 1", f,
+                            fl.cap, fl.writeNode.size()));
         std::uint32_t blocking = 0;
         for (std::size_t w = 0; w < fl.writeNode.size(); ++w) {
             const std::uint32_t v = fl.writeNode[w];
             if (v == kNoNode)
                 continue;
             if (lay.accFifo[v] != static_cast<std::int32_t>(f) ||
-                lay.accIdx[v] != w + 1 || !lay.accWrite[v])
+                lay.accIdx[v] != w + 1 || !lay.accWrite[v] ||
+                lay.accBlockingWrite[v] != fl.writeBlocking[w])
                 failVerify(ctx, "acc-map-consistent",
                            strf("write entry %zu of fifo %zu (node %u) "
                                 "disagrees with the accessor arrays",
@@ -254,12 +274,12 @@ checkCons(const RunLayout &lay, const VerifyContext &ctx)
                             "(follows %u)", c.origIndex, prevOrig));
         first = false;
         prevOrig = c.origIndex;
-        if (ctx.input != nullptr &&
-            c.origIndex >= ctx.input->constraints->size())
+        if (c.origIndex >= lay.stats.origConstraints)
             failVerify(ctx, "cons-addressable",
-                       strf("kept constraint %u of %zu recorded",
+                       strf("kept constraint %u of %llu recorded",
                             c.origIndex,
-                            ctx.input->constraints->size()));
+                            static_cast<unsigned long long>(
+                                lay.stats.origConstraints)));
         if (c.node >= n)
             failVerify(ctx, "cons-addressable",
                        strf("constraint %u query node %u outside %zu "
@@ -425,19 +445,25 @@ verifyEnabled()
 }
 
 void
-verifyLayout(const RunLayout &lay, const VerifyContext &ctx)
+verifyIndices(const RunLayout &lay, const VerifyContext &ctx)
 {
     checkShape(lay, ctx);
     checkCsrSorted(lay, ctx);
+    checkFifos(lay, ctx);
+    checkCons(lay, ctx);
+}
+
+void
+verifyLayout(const RunLayout &lay, const VerifyContext &ctx)
+{
+    verifyIndices(lay, ctx);
+    checkAccessMaps(lay, ctx);
 
     std::vector<Cycles> timeL;
     if (!longestPath(lay.numNodes, lay.seed, lay.edges, timeL))
         failVerify(ctx, "dag", "structural layout graph has a cycle");
 
     checkRemap(lay, ctx);
-    checkFifos(lay, ctx);
-    checkAccessMaps(lay, ctx);
-    checkCons(lay, ctx);
     if (ctx.input != nullptr) {
         checkChainWeight(lay, timeL, ctx);
         if (ctx.afterDedup)

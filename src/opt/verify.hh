@@ -16,18 +16,23 @@
  *                          every layout id has a preimage, and the
  *                          smallest preimage is strictly increasing in
  *                          layout id (materialization assigns dense ids
- *                          in ascending original id).
+ *                          in ascending original id). Skipped when the
+ *                          remap is empty (a layout read from a run
+ *                          file keeps none).
  *   [fifo-cap]             per-FIFO access maps: entries are kNoNode or
- *                          live layout nodes, and cap == writes + 1.
+ *                          live layout nodes, no more reads than
+ *                          writes, one blocking flag per write, and
+ *                          cap == writes + 1.
  *   [acc-map-consistent]   the O(1) accessor arrays (accFifo/accIdx/
  *                          accWrite/accBlockingWrite) and fifos[] are
  *                          two views of the same map, including the
- *                          blockingWrites counts.
+ *                          blocking flags and blockingWrites counts.
  *   [cons-addressable]     kept constraints are in strictly ascending
- *                          recorded order, reference live nodes, and
- *                          their evaluation targets stay addressable
- *                          (read-kind: the target write entry; write-
- *                          kind: the sliding read-prefix rule).
+ *                          recorded order below the recorded count,
+ *                          reference live nodes, and their evaluation
+ *                          targets stay addressable (read-kind: the
+ *                          target write entry; write-kind: the sliding
+ *                          read-prefix rule).
  *   [chain-weight]         conservation through chain-collapse/dedup:
  *                          at the structural-only point of the lattice
  *                          (== the all-caps clamped depth vector) every
@@ -51,10 +56,11 @@
 #define OMNISIM_OPT_VERIFY_HH
 
 #include "opt/layout.hh"
-#include "opt/pass_manager.hh"
 
 namespace omnisim::opt
 {
+
+struct LayoutInput; // opt/pass_manager.hh
 
 /** What the verifier may assume about the layout being checked. */
 struct VerifyContext
@@ -82,6 +88,16 @@ bool verifyEnabled();
  * Unconditional — callers gate on verifyEnabled().
  */
 void verifyLayout(const RunLayout &lay, const VerifyContext &ctx);
+
+/**
+ * The part of verifyLayout that CompiledRun's unchecked indexing relies
+ * on, over the fields a run file stores: [shape] of seed/dur,
+ * [csr-sorted], the access-entry half of [fifo-cap], and
+ * [cons-addressable]. Needs no accessor arrays, so the run-file decoder
+ * runs it on every layout it reads, before deriving them.
+ * Unconditional; @throws FatalError like verifyLayout.
+ */
+void verifyIndices(const RunLayout &lay, const VerifyContext &ctx);
 
 } // namespace omnisim::opt
 

@@ -98,55 +98,6 @@ class FifoTable
     /** @return values written but not yet read, oldest first. */
     const std::deque<Value> &pendingData() const { return data_; }
 
-    // ---- Snapshot access (src/io/ run serialization) ----------------
-
-    /** @return every committed write cycle, in commit order. */
-    const std::vector<Cycles> &writeCycles() const { return writeCycle_; }
-
-    /** @return every committed read cycle, in commit order. */
-    const std::vector<Cycles> &readCycles() const { return readCycle_; }
-
-    /** @return the graph node of every committed write. */
-    const std::vector<std::uint64_t> &writeNodes() const
-    {
-        return writeNode_;
-    }
-
-    /** @return the graph node of every committed read. */
-    const std::vector<std::uint64_t> &readNodes() const
-    {
-        return readNode_;
-    }
-
-    /**
-     * Rebuild a table from a serialized snapshot (src/io/ rehydration).
-     * The caller (io::validateSnapshot) is responsible for semantic
-     * validation of untrusted input; the invariants asserted here are
-     * the ones every later accessor depends on.
-     */
-    static FifoTable
-    restore(std::vector<Cycles> writeCycle, std::vector<Cycles> readCycle,
-            std::vector<std::uint64_t> writeNode,
-            std::vector<std::uint64_t> readNode, std::deque<Value> pending,
-            std::string label)
-    {
-        omnisim_assert(writeCycle.size() == writeNode.size() &&
-                       readCycle.size() == readNode.size(),
-                       "fifo table restore: cycle/node arity mismatch");
-        omnisim_assert(writeCycle.size() >= readCycle.size() &&
-                       pending.size() ==
-                           writeCycle.size() - readCycle.size(),
-                       "fifo table restore: pending data inconsistent");
-        FifoTable t;
-        t.writeCycle_ = std::move(writeCycle);
-        t.readCycle_ = std::move(readCycle);
-        t.writeNode_ = std::move(writeNode);
-        t.readNode_ = std::move(readNode);
-        t.data_ = std::move(pending);
-        t.label_ = std::move(label);
-        return t;
-    }
-
     /** Name the channel for diagnostics (underrun panics). */
     void setLabel(std::string label) { label_ = std::move(label); }
 

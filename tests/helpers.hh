@@ -16,6 +16,7 @@
 #include "csim/csim.hh"
 #include "design/frontend.hh"
 #include "designs/common.hh"
+#include "io/run_io.hh"
 #include "lightningsim/lightningsim.hh"
 #include "support/logging.hh"
 
@@ -78,6 +79,34 @@ struct Compiled
         : design(designs::findDesign(name).build()), cd(compile(design))
     {}
 };
+
+/** The FIFO depths and names of a design: what a run file records as
+ *  a run's depths and labels. */
+struct FifoVectors
+{
+    std::vector<std::uint32_t> depths;
+    std::vector<std::string> labels;
+
+    explicit FifoVectors(const Design &d)
+    {
+        for (const auto &f : d.fifos()) {
+            depths.push_back(f.depth);
+            labels.push_back(f.name);
+        }
+    }
+};
+
+/** The run-file image of @p engine's finished run of @p d — the bytes
+ *  a RunStore publishes for it. */
+inline std::string
+runImage(const Design &d, const OmniSim &engine, const SimResult &result)
+{
+    const FifoVectors fifos(d);
+    return io::encodeRun(
+        {d.name(), "omnisim", io::designFingerprint(d)},
+        {fifos.depths, fifos.labels, result,
+         engine.compiledRun().layout()});
+}
 
 } // namespace omnisim::test
 

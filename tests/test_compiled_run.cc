@@ -97,9 +97,8 @@ TEST(CompiledRun, RegistryRandomizedDepthsMatchReference)
             OmniSim engine(cd, checkedOmniSim());
             if (engine.run().status != SimStatus::Ok)
                 continue;
-            RunSnapshot snap;
-            ASSERT_TRUE(engine.exportSnapshot(snap));
-            EXPECT_TRUE(CompiledRun(snap).universalOrder()) << entry.name;
+            EXPECT_TRUE(engine.compiledRun().universalOrder())
+                << entry.name;
 
             std::vector<std::uint32_t> base;
             for (const auto &f : d.fifos())
@@ -148,20 +147,19 @@ TEST(CompiledRun, RegistryRandomizedDepthsMatchReference)
 TEST(CompiledRun, LargeGeneratedDesignMatchesReference)
 {
     // A generated design of thousands of layout nodes, served from a
-    // rehydrated StoredRun. Small deltas take the worklist; broad
-    // perturbations and the all-ones probe fall back to the full
-    // in-order sweep. The reference engine is ground truth.
+    // StoredRun reopened from its run file. Small deltas take the
+    // worklist; broad perturbations and the all-ones probe fall back to
+    // the full in-order sweep. The reference engine is ground truth.
     gen::GenConfig cfg = gen::largeGenConfig();
     cfg.minProcs = 96;
     cfg.maxProcs = 128;
     const Design design = gen::materialize(gen::generateSpec(7, cfg));
     const CompiledDesign cd = compile(design);
     OmniSim engine(cd);
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
+    const SimResult r = engine.run();
+    ASSERT_EQ(r.status, SimStatus::Ok);
     const std::unique_ptr<io::StoredRun> stored =
-        io::StoredRun::rehydrate(std::move(snap));
+        io::StoredRun::decode(test::runImage(design, engine, r));
     EXPECT_TRUE(stored->compiled().universalOrder());
     const std::vector<std::uint32_t> &base = stored->baseDepths();
     const std::size_t nfifos = base.size();
@@ -240,9 +238,7 @@ TEST(CompiledRun, InfeasibleShrinkMatchesReference)
     // The depth-1 overlay is cyclic, so the freeze cannot certify a
     // universal order: the probe goes through the Kahn fallback, which
     // is what proves the cycle.
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    EXPECT_FALSE(CompiledRun(snap).universalOrder());
+    EXPECT_FALSE(engine.compiledRun().universalOrder());
 
     const IncrementalOutcome bad = engine.resimulate({8, 1});
     expectIdentical(bad, engine.resimulateReference({8, 1}), "(8,1)");

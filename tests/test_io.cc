@@ -1,8 +1,9 @@
-/** @file Persistent run store tests: round-trip bit-identity across the
- *  design registry (serialize -> reload -> resimulate equals the
- *  in-process engine and fresh-run ground truth), plus deliberate
- *  corruption, truncation, and version-bump rejection — a bad file must
- *  always be a recoverable FatalError, never UB. */
+/** @file Persistent run store tests: every registry design's frozen run
+ *  published to a store and reloaded through its file bytes (the
+ *  reopened run resimulates bit-identically to the engine and reports
+ *  its CompileStats), plus deliberate corruption, truncation,
+ *  version-bump and layout tampering — a bad file must always be a
+ *  recoverable FatalError, never UB. */
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "io/run_io.hh"
 #include "io/run_store.hh"
 #include "io/serial.hh"
+#include "obs/metrics.hh"
 #include "support/prng.hh"
 
 namespace omnisim
@@ -47,6 +49,36 @@ struct TempDir
     ~TempDir() { fs::remove_all(path); }
 };
 
+/** A registry design's finished engine run and the parts a run file
+ *  records of it. */
+struct FinishedRun
+{
+    Compiled c;
+    OmniSim engine;
+    SimResult result;
+    test::FifoVectors fifos;
+
+    explicit FinishedRun(const std::string &name)
+        : c(name), engine(c.cd, checkedOmniSim()), result(engine.run()),
+          fifos(c.design)
+    {}
+
+    /** The engine's own record, or the same run around @p layout. */
+    io::RunRecord
+    record(const opt::RunLayout *layout = nullptr) const
+    {
+        return {fifos.depths, fifos.labels, result,
+                layout ? *layout : engine.compiledRun().layout()};
+    }
+
+    std::string
+    image(const opt::RunLayout *layout = nullptr) const
+    {
+        return io::encodeRun({c.design.name(), "omnisim", 1},
+                             record(layout));
+    }
+};
+
 void
 expectIdentical(const IncrementalOutcome &stored,
                 const IncrementalOutcome &live, const std::string &what)
@@ -65,12 +97,15 @@ expectIdentical(const IncrementalOutcome &stored,
 
 TEST(RunIo, RegistryRoundTripBitIdentity)
 {
-    // Every registered design: run once, serialize, decode into a
-    // StoredRun (through actual bytes, not object copies), then drive
-    // both the stored and the live engine through randomized depth
-    // probes. Decisions, totals, divergence messages, and functional
-    // outputs must match bit-for-bit; a few reused probes additionally
-    // check against a fresh full simulation as ground truth.
+    // Every registered design: run once, publish the engine's frozen run
+    // to a store, load it back through the file's bytes exactly as a
+    // fresh process would, then drive both the stored and the live
+    // engine through randomized depth probes. Decisions, totals,
+    // divergence messages, functional outputs and compile statistics
+    // must match bit-for-bit; a few reused probes additionally check
+    // against a fresh full simulation as ground truth.
+    TempDir dir("registry");
+    io::RunStore store(dir.path);
     std::size_t designsCovered = 0, reused = 0, diverged = 0;
     for (const auto *suite :
          {&designs::typeBCDesigns(), &designs::typeADesigns()}) {
@@ -80,31 +115,29 @@ TEST(RunIo, RegistryRoundTripBitIdentity)
                 continue;
             const CompiledDesign cd = compile(d);
             OmniSim engine(cd, checkedOmniSim());
-            if (engine.run().status != SimStatus::Ok)
+            const SimResult r = engine.run();
+            if (r.status != SimStatus::Ok)
                 continue;
-            RunSnapshot snap;
-            ASSERT_TRUE(engine.exportSnapshot(snap)) << entry.name;
 
-            io::RunFileMeta meta;
-            meta.design = entry.name;
-            meta.engine = "omnisim";
-            meta.fingerprint = io::designFingerprint(d);
-            const std::string image = io::encodeRun(meta, snap);
-
-            io::RunFileMeta meta2;
-            RunSnapshot snap2;
-            io::decodeRun(image, meta2, snap2);
-            EXPECT_EQ(meta2.design, entry.name);
-            EXPECT_EQ(meta2.fingerprint, meta.fingerprint);
+            const test::FifoVectors fifos(d);
+            const std::vector<std::uint32_t> &base = fifos.depths;
+            const io::RunRecord live{base, fifos.labels, r,
+                                     engine.compiledRun().layout()};
+            const std::uint64_t fp = io::designFingerprint(d);
+            ASSERT_TRUE(store.publish(entry.name, "omnisim", fp, live));
             const std::unique_ptr<io::StoredRun> stored =
-                io::StoredRun::rehydrate(std::move(snap2), meta2);
-
-            std::vector<std::uint32_t> base;
-            for (const auto &f : d.fifos())
-                base.push_back(f.depth);
+                store.load(entry.name, "omnisim", fp, base);
+            ASSERT_NE(stored, nullptr) << entry.name;
+            EXPECT_EQ(stored->meta().design, entry.name);
             EXPECT_EQ(stored->baseDepths(), base) << entry.name;
             EXPECT_EQ(stored->baseline().totalCycles,
                       engine.resimulate(base).result.totalCycles)
+                << entry.name;
+            EXPECT_EQ(stored->compileStats(), engine.compileStats())
+                << entry.name;
+            // Every persisted field decodes back unchanged.
+            EXPECT_EQ(io::encodeRun(stored->meta(), stored->record()),
+                      io::encodeRun(stored->meta(), live))
                 << entry.name;
 
             Prng prng(nameSeed(entry.name));
@@ -118,8 +151,9 @@ TEST(RunIo, RegistryRoundTripBitIdentity)
 
                 const IncrementalOutcome fromStore =
                     stored->resimulate(depths);
-                const IncrementalOutcome live = engine.resimulate(depths);
-                expectIdentical(fromStore, live, entry.name);
+                const IncrementalOutcome fromEngine =
+                    engine.resimulate(depths);
+                expectIdentical(fromStore, fromEngine, entry.name);
                 if (!fromStore.reused) {
                     ++diverged;
                     continue;
@@ -151,21 +185,14 @@ TEST(RunIo, RegistryRoundTripBitIdentity)
 
 TEST(RunIo, StoredRunServesWithoutTheDesign)
 {
-    // The whole point: after rehydration, resimulate() works without
-    // the Design, the DSL, or the trace — only the file's bytes.
-    Compiled c("reconvergent");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    io::RunFileMeta meta;
-    meta.design = "reconvergent";
-    meta.engine = "omnisim";
-    const std::string image = io::encodeRun(meta, snap);
+    // The whole point: after reopening, resimulate() works without the
+    // Design, the DSL, or the trace — only the file's bytes.
+    FinishedRun fr("reconvergent");
+    ASSERT_EQ(fr.result.status, SimStatus::Ok);
 
     TempDir dir("standalone");
     const std::string path = (fs::path(dir.path) / "r.omnirun").string();
-    std::ofstream(path, std::ios::binary) << image;
+    std::ofstream(path, std::ios::binary) << fr.image();
 
     const std::unique_ptr<io::StoredRun> run = io::StoredRun::open(path);
     std::vector<std::uint32_t> deeper = run->baseDepths();
@@ -174,7 +201,7 @@ TEST(RunIo, StoredRunServesWithoutTheDesign)
     const IncrementalOutcome out = run->resimulate(deeper);
     ASSERT_TRUE(out.reused) << out.reason;
     EXPECT_EQ(out.result.totalCycles,
-              engine.resimulate(deeper).result.totalCycles);
+              fr.engine.resimulate(deeper).result.totalCycles);
 }
 
 TEST(RunIo, ExportRequiresAValidRun)
@@ -190,42 +217,30 @@ TEST(RunIo, TruncationAlwaysRejected)
     // Every prefix of a valid file (sampled densely near section
     // boundaries via a stride) must throw FatalError — never crash,
     // never succeed.
-    Compiled c("fifo_chain");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    const std::string image = io::encodeRun({"fifo_chain", "omnisim", 1},
-                                            snap);
+    const FinishedRun fr("fifo_chain");
+    ASSERT_EQ(fr.result.status, SimStatus::Ok);
+    const std::string image = fr.image();
 
     std::size_t rejected = 0;
     for (std::size_t len = 0; len < image.size();
          len += 1 + len / 97) {
-        io::RunFileMeta meta;
-        RunSnapshot out;
-        EXPECT_THROW(io::decodeRun(std::string_view(image).substr(0, len),
-                                   meta, out),
-                     FatalError)
+        EXPECT_THROW(
+            io::StoredRun::decode(std::string_view(image).substr(0, len)),
+            FatalError)
             << "prefix length " << len;
         ++rejected;
     }
     EXPECT_GT(rejected, 100u);
 
     // And the untruncated image still decodes.
-    io::RunFileMeta meta;
-    RunSnapshot out;
-    EXPECT_NO_THROW(io::decodeRun(image, meta, out));
+    EXPECT_NO_THROW(io::StoredRun::decode(image));
 }
 
 TEST(RunIo, BitFlipsAlwaysRejected)
 {
-    Compiled c("fifo_chain");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    const std::string image = io::encodeRun({"fifo_chain", "omnisim", 1},
-                                            snap);
+    const FinishedRun fr("fifo_chain");
+    ASSERT_EQ(fr.result.status, SimStatus::Ok);
+    const std::string image = fr.image();
 
     // Flip one bit at a spread of positions: the checksum (or, for
     // header bytes, the magic/version/size checks) must catch each one.
@@ -235,22 +250,33 @@ TEST(RunIo, BitFlipsAlwaysRejected)
         const std::size_t pos = prng.below(bad.size());
         bad[pos] = static_cast<char>(
             bad[pos] ^ static_cast<char>(1u << prng.below(8)));
-        io::RunFileMeta meta;
-        RunSnapshot out;
-        EXPECT_THROW(io::decodeRun(bad, meta, out), FatalError)
+        EXPECT_THROW(io::StoredRun::decode(bad), FatalError)
             << "flipped byte " << pos;
     }
 }
 
+TEST(RunIo, PayloadChecksumSeesEveryWordAndTailByte)
+{
+    // The checksum folds 8-byte words; a change to any single word or
+    // tail byte must move it, whatever the position.
+    std::string bytes(8 * 5 + 3, '\0');
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<char>(i * 37 + 11);
+    const std::uint64_t sum = io::payloadChecksum(bytes);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        std::string bad = bytes;
+        bad[i] = static_cast<char>(bad[i] ^ 0x80);
+        EXPECT_NE(io::payloadChecksum(bad), sum) << "byte " << i;
+    }
+    EXPECT_NE(io::payloadChecksum(bytes.substr(0, bytes.size() - 1)),
+              sum);
+}
+
 TEST(RunIo, VersionBumpRejected)
 {
-    Compiled c("fifo_chain");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    const std::string image =
-        io::encodeRun({"fifo_chain", "omnisim", 1}, snap);
+    const FinishedRun fr("fifo_chain");
+    ASSERT_EQ(fr.result.status, SimStatus::Ok);
+    const std::string image = fr.image();
 
     // A newer version and the previous one are both rejected: only the
     // current version decodes, and a store counts any other as a miss.
@@ -259,10 +285,8 @@ TEST(RunIo, VersionBumpRejected)
         std::string bad = image;
         // The u32 format version sits right after the 8-byte magic.
         bad[8] = static_cast<char>(version);
-        io::RunFileMeta meta;
-        RunSnapshot out;
         try {
-            io::decodeRun(bad, meta, out);
+            io::StoredRun::decode(bad);
             ADD_FAILURE() << "version " << version << " not rejected";
         } catch (const FatalError &e) {
             EXPECT_NE(std::string(e.what()).find("version"),
@@ -271,39 +295,38 @@ TEST(RunIo, VersionBumpRejected)
     }
 }
 
+/** Wrap @p payload in an honest header (right size and checksum), so
+ *  only the payload parser and validator can object to it. */
+std::string
+withHeader(const std::string &payload)
+{
+    io::ByteWriter file;
+    file.raw(io::kRunMagic, sizeof(io::kRunMagic));
+    file.u32(io::kRunFormatVersion);
+    file.u64(io::payloadChecksum(payload));
+    file.u64(payload.size());
+    file.raw(payload.data(), payload.size());
+    return file.take();
+}
+
 TEST(RunIo, TruncatedLayoutSectionRejected)
 {
     // Cut bytes out of the trailing layout section while keeping the
     // header (size + checksum) honest, so only the section parser
     // itself can object — it must throw FatalError, never crash.
-    Compiled c("fifo_chain");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    const io::RunFileMeta meta{"fifo_chain", "omnisim", 1};
-    const std::string image = io::encodeRun(meta, snap);
+    const FinishedRun fr("fifo_chain");
+    ASSERT_EQ(fr.result.status, SimStatus::Ok);
+    const std::string image = fr.image();
     // The image of an empty layout differs only in that section, so the
     // size difference bounds it from below: every cut stays inside it.
     const opt::RunLayout empty;
-    const std::size_t layoutBytes =
-        image.size() - io::encodeRun(meta, snap, &empty).size();
+    const std::size_t layoutBytes = image.size() - fr.image(&empty).size();
     ASSERT_GT(layoutBytes, 16u);
     const std::size_t hdr = 8 + 4 + 8 + 8;
 
     for (std::size_t cut = 1; cut < layoutBytes; cut += 1 + cut / 13) {
-        const std::string payload =
-            image.substr(hdr, image.size() - hdr - cut);
-        io::ByteWriter file;
-        file.raw(io::kRunMagic, sizeof(io::kRunMagic));
-        file.u32(io::kRunFormatVersion);
-        file.u64(io::fnv1a(payload));
-        file.u64(payload.size());
-        file.raw(payload.data(), payload.size());
-        io::RunFileMeta m;
-        RunSnapshot out;
-        opt::RunLayout lay;
-        EXPECT_THROW(io::decodeRun(file.take(), m, out, lay),
+        EXPECT_THROW(io::StoredRun::decode(withHeader(
+                         image.substr(hdr, image.size() - hdr - cut))),
                      FatalError)
             << "cut " << cut << " bytes";
     }
@@ -311,122 +334,162 @@ TEST(RunIo, TruncatedLayoutSectionRejected)
 
 TEST(RunIo, LayoutInvariantViolationsRejected)
 {
-    // A checksum-intact layout section whose content breaks a solver
-    // invariant must be rejected by validateRunLayout — these are the
-    // invariants evalConstraint's unchecked indexing relies on.
-    // fig4_ex5 keeps most of its recorded constraints at -O1, so
-    // the constraint-shaped tampers below actually exercise the checks.
-    Compiled c("fig4_ex5");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    const std::string image = io::encodeRun({"fig4_ex5", "omnisim", 1},
-                                            snap);
-    io::RunFileMeta meta;
-    RunSnapshot out;
-    opt::RunLayout lay;
-    io::decodeRun(image, meta, out, lay);
-    EXPECT_NO_THROW(io::validateRunLayout(out, lay));
+    // A checksum-intact file whose layout breaks an invariant the
+    // solver's unchecked indexing relies on must be rejected on decode.
+    // fig4_ex5 keeps most of its recorded constraints at -O1, so the
+    // constraint-shaped tampers below actually exercise the checks.
+    const FinishedRun fr("fig4_ex5");
+    ASSERT_EQ(fr.result.status, SimStatus::Ok);
+    const opt::RunLayout &lay = fr.engine.compiledRun().layout();
+    ASSERT_FALSE(lay.fifos.empty());
+    ASSERT_FALSE(lay.cons.empty());
+    EXPECT_NO_THROW(io::StoredRun::decode(fr.image()));
 
+    // Each tamper must be rejected, and by the check meant for it.
+    std::size_t tampers = 0;
+    const auto expectRejected = [&](const opt::RunLayout &bad,
+                                    const char *why) {
+        ++tampers;
+        try {
+            io::StoredRun::decode(fr.image(&bad));
+            ADD_FAILURE() << "accepted a layout that should fail " << why;
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+                << e.what();
+        }
+    };
     {
-        opt::RunLayout bad = lay;
-        bad.numNodes = out.nodes.size() + 1;
-        EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
+        opt::RunLayout bad = lay; // seeds and durations miss a node
+        bad.numNodes += 1;
+        expectRejected(bad, "[shape]");
     }
     {
-        opt::RunLayout bad = lay;
-        ASSERT_FALSE(bad.remap.empty());
-        bad.remap.pop_back();
-        EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
-    }
-    {
-        opt::RunLayout bad = lay;
+        opt::RunLayout bad = lay; // an edge outside the layout
         bad.edges.push_back({bad.numNodes + 3, 0, 1});
-        EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
+        expectRejected(bad, "[csr-sorted]");
     }
     {
-        opt::RunLayout bad = lay;
-        ASSERT_FALSE(bad.fifos.empty());
-        bad.fifos[0].readNode.push_back(0);
-        EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
+        opt::RunLayout bad = lay; // fewer fifo maps than depths
+        bad.fifos.pop_back();
+        expectRejected(bad, "fifo maps");
     }
     {
-        opt::RunLayout bad = lay;
-        ASSERT_FALSE(bad.cons.empty());
+        opt::RunLayout bad = lay; // more reads than writes
+        opt::FifoLayout &fl = bad.fifos[0];
+        fl.readNode.resize(fl.writeNode.size() + 1, opt::kNoNode);
+        expectRejected(bad, "[fifo-cap]");
+    }
+    {
+        opt::RunLayout bad = lay; // a write entry outside the layout
+        ASSERT_FALSE(bad.fifos[0].writeNode.empty());
+        bad.fifos[0].writeNode.back() =
+            static_cast<std::uint32_t>(bad.numNodes);
+        expectRejected(bad, "[fifo-cap]");
+    }
+    {
+        opt::RunLayout bad = lay; // a blocking flag without a write
+        bad.fifos[0].writeBlocking.push_back(1);
+        expectRejected(bad, "[fifo-cap]");
+    }
+    {
+        opt::RunLayout bad = lay; // kept past the recorded count
         bad.cons.back().origIndex =
-            static_cast<std::uint32_t>(out.constraints.size());
-        EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
+            static_cast<std::uint32_t>(bad.stats.origConstraints);
+        expectRejected(bad, "[cons-addressable]");
     }
     if (lay.cons.size() >= 2) {
-        opt::RunLayout bad = lay;
+        opt::RunLayout bad = lay; // out of recorded order
         std::swap(bad.cons.front().origIndex, bad.cons.back().origIndex);
-        EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
+        expectRejected(bad, "[cons-addressable]");
     }
-    // Drop a kept read query's pinned target write entry.
-    for (const opt::LayoutCons &cons : lay.cons) {
-        const QueryRecord &qr = out.constraints[cons.origIndex];
-        if ((qr.kind == EventKind::FifoNbRead ||
-             qr.kind == EventKind::FifoCanRead) &&
-            qr.index <= lay.fifos[qr.fifo].writeNode.size()) {
+    {
+        opt::RunLayout bad = lay; // query node outside the layout
+        bad.cons.front().node = static_cast<std::uint32_t>(bad.numNodes);
+        expectRejected(bad, "[cons-addressable]");
+    }
+    {
+        opt::RunLayout bad = lay; // names a missing fifo
+        bad.cons.front().fifo = static_cast<std::uint32_t>(bad.fifos.size());
+        expectRejected(bad, "[cons-addressable]");
+    }
+    {
+        opt::RunLayout bad = lay; // not a query kind
+        bad.cons.front().kind = EventKind::FifoRead;
+        expectRejected(bad, "[cons-addressable]");
+    }
+    {
+        opt::RunLayout bad = lay; // access indices are 1-based
+        bad.cons.front().index = 0;
+        expectRejected(bad, "[cons-addressable]");
+    }
+    // Drop a kept read query's pinned target write entry, and a kept
+    // write query's pinned target read entry.
+    bool droppedWrite = false, droppedRead = false;
+    for (const opt::LayoutCons &c : lay.cons) {
+        const opt::FifoLayout &fl = lay.fifos[c.fifo];
+        const bool readKind = c.kind == EventKind::FifoNbRead ||
+                              c.kind == EventKind::FifoCanRead;
+        if (readKind && !droppedWrite && c.index <= fl.writeNode.size()) {
             opt::RunLayout bad = lay;
-            bad.fifos[qr.fifo].writeNode[qr.index - 1] = opt::kNoNode;
-            EXPECT_THROW(io::validateRunLayout(out, bad), FatalError);
-            break;
+            bad.fifos[c.fifo].writeNode[c.index - 1] = opt::kNoNode;
+            expectRejected(bad, "[cons-addressable]");
+            droppedWrite = true;
+        } else if (!readKind && !droppedRead && c.index >= 2 &&
+                   !fl.readNode.empty()) {
+            opt::RunLayout bad = lay;
+            bad.fifos[c.fifo].readNode[0] = opt::kNoNode;
+            expectRejected(bad, "[cons-addressable]");
+            droppedRead = true;
         }
     }
+    EXPECT_TRUE(droppedWrite || droppedRead);
+    EXPECT_GE(tampers, 12u);
 }
 
 TEST(RunIo, BadMagicRejected)
 {
-    io::RunFileMeta meta;
-    RunSnapshot out;
-    EXPECT_THROW(io::decodeRun("definitely not a run file", meta, out),
+    EXPECT_THROW(io::StoredRun::decode("definitely not a run file"),
                  FatalError);
-    EXPECT_THROW(io::decodeRun("", meta, out), FatalError);
+    EXPECT_THROW(io::StoredRun::decode(""), FatalError);
 }
 
 TEST(RunIo, SemanticCorruptionRejected)
 {
-    // A file whose bytes are intact (checksum valid) but whose content
-    // violates a cross-index invariant must still be rejected: rebuild
-    // the image around a tampered snapshot.
-    Compiled c("fifo_chain");
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot good;
-    ASSERT_TRUE(engine.exportSnapshot(good));
-
+    // A file whose bytes are intact (checksum valid) but whose run is
+    // not storable must still be rejected: encode a tampered record.
+    const FinishedRun fr("fifo_chain");
+    ASSERT_EQ(fr.result.status, SimStatus::Ok);
+    const opt::RunLayout &lay = fr.engine.compiledRun().layout();
+    const std::vector<std::uint32_t> &depths = fr.fifos.depths;
+    const std::vector<std::string> &labels = fr.fifos.labels;
+    const auto decodes = [&](const io::RunRecord &run) {
+        return io::StoredRun::decode(
+            io::encodeRun({"fifo_chain", "omnisim", 1}, run));
+    };
+    ASSERT_FALSE(depths.empty());
+    EXPECT_NO_THROW(decodes({depths, labels, fr.result, lay}));
     {
-        RunSnapshot bad = good;
-        bad.seed.pop_back(); // seed/node arity mismatch
-        EXPECT_THROW(io::validateSnapshot(bad), FatalError);
+        std::vector<std::uint32_t> bad = depths;
+        bad[0] = 0;
+        EXPECT_THROW(decodes({bad, labels, fr.result, lay}), FatalError);
     }
     {
-        RunSnapshot bad = good;
-        bad.edges.push_back({bad.nodes.size() + 7, 0, 1});
-        EXPECT_THROW(io::validateSnapshot(bad), FatalError);
+        SimResult bad = fr.result;
+        bad.status = SimStatus::Deadlock;
+        EXPECT_THROW(decodes({depths, labels, bad, lay}), FatalError);
     }
     {
-        RunSnapshot bad = good;
-        ASSERT_FALSE(bad.depths.empty());
-        bad.depths[0] = 0;
-        EXPECT_THROW(io::validateSnapshot(bad), FatalError);
+        std::vector<std::string> bad = labels;
+        bad.pop_back();
+        EXPECT_THROW(decodes({depths, bad, fr.result, lay}), FatalError);
     }
     {
-        RunSnapshot bad = good;
-        bad.result.status = SimStatus::Deadlock;
-        EXPECT_THROW(io::validateSnapshot(bad), FatalError);
-    }
-    {
-        RunSnapshot bad = good;
-        QueryRecord qr;
-        qr.fifo = 0;
-        qr.kind = EventKind::FifoRead; // not a query kind
-        qr.index = 1;
-        qr.node = 0;
-        bad.constraints.push_back(qr);
-        EXPECT_THROW(io::validateSnapshot(bad), FatalError);
+        std::vector<std::uint32_t> moreDepths = depths;
+        moreDepths.push_back(1);
+        std::vector<std::string> moreLabels = labels;
+        moreLabels.push_back("extra");
+        EXPECT_THROW(decodes({moreDepths, moreLabels, fr.result, lay}),
+                     FatalError);
     }
 }
 
@@ -435,31 +498,29 @@ TEST(RunStore, PublishLoadRoundTrip)
     TempDir dir("store_roundtrip");
     io::RunStore store(dir.path);
 
-    Compiled c("reconvergent");
-    const std::uint64_t fp = io::designFingerprint(c.design);
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
+    const FinishedRun fr("reconvergent");
+    ASSERT_EQ(fr.result.status, SimStatus::Ok);
+    const std::uint64_t fp = io::designFingerprint(fr.c.design);
+    const std::vector<std::uint32_t> &depths = fr.fifos.depths;
 
-    ASSERT_TRUE(store.publish("reconvergent", "omnisim", fp, snap));
+    ASSERT_TRUE(store.publish("reconvergent", "omnisim", fp, fr.record()));
     EXPECT_EQ(store.count("reconvergent", "omnisim"), 1u);
 
     const std::unique_ptr<io::StoredRun> run =
-        store.load("reconvergent", "omnisim", fp, snap.depths);
+        store.load("reconvergent", "omnisim", fp, depths);
     ASSERT_NE(run, nullptr);
-    EXPECT_EQ(run->baseline().totalCycles, snap.result.totalCycles);
+    EXPECT_EQ(run->baseline().totalCycles, fr.result.totalCycles);
 
     // Wrong fingerprint (a structurally-changed design) is a miss, not
     // an error; so is an unknown depth vector.
-    EXPECT_EQ(store.load("reconvergent", "omnisim", fp + 1, snap.depths),
+    EXPECT_EQ(store.load("reconvergent", "omnisim", fp + 1, depths),
               nullptr);
-    std::vector<std::uint32_t> other = snap.depths;
+    std::vector<std::uint32_t> other = depths;
     other[0] += 1;
     EXPECT_EQ(store.load("reconvergent", "omnisim", fp, other), nullptr);
 
     // Re-publication overwrites atomically, never accumulates.
-    ASSERT_TRUE(store.publish("reconvergent", "omnisim", fp, snap));
+    ASSERT_TRUE(store.publish("reconvergent", "omnisim", fp, fr.record()));
     EXPECT_EQ(store.count("reconvergent", "omnisim"), 1u);
 }
 
@@ -467,29 +528,39 @@ TEST(RunStore, CorruptFilesAreSkippedNotFatal)
 {
     TempDir dir("store_corrupt");
     io::RunStore store(dir.path);
+    obs::Counter &misses =
+        obs::Registry::global().counter("store.load_misses");
 
-    Compiled c("fifo_chain");
-    const std::uint64_t fp = io::designFingerprint(c.design);
-    OmniSim engine(c.cd, checkedOmniSim());
-    ASSERT_EQ(engine.run().status, SimStatus::Ok);
-    RunSnapshot snap;
-    ASSERT_TRUE(engine.exportSnapshot(snap));
-    ASSERT_TRUE(store.publish("fifo_chain", "omnisim", fp, snap));
+    const FinishedRun fr("fifo_chain");
+    ASSERT_EQ(fr.result.status, SimStatus::Ok);
+    const std::uint64_t fp = io::designFingerprint(fr.c.design);
+    const std::vector<std::uint32_t> &depths = fr.fifos.depths;
+    ASSERT_TRUE(store.publish("fifo_chain", "omnisim", fp, fr.record()));
 
     // Truncate the published file in place.
-    const std::string path =
-        store.pathFor("fifo_chain", "omnisim", snap.depths);
+    const std::string path = store.pathFor("fifo_chain", "omnisim", depths);
     fs::resize_file(path, fs::file_size(path) / 2);
 
-    EXPECT_EQ(store.load("fifo_chain", "omnisim", fp, snap.depths),
-              nullptr);
-    EXPECT_TRUE(
-        store.loadAll("fifo_chain", "omnisim", fp, 8).empty());
+    // Both loaders skip the corpse and count it as a miss.
+    std::uint64_t before = misses.value();
+    EXPECT_EQ(store.load("fifo_chain", "omnisim", fp, depths), nullptr);
+    EXPECT_EQ(misses.value(), before + 1);
+    before = misses.value();
+    EXPECT_TRUE(store.loadAll("fifo_chain", "omnisim", fp, 8).empty());
+    EXPECT_EQ(misses.value(), before + 1);
 
     // Publishing again replaces the corpse and loads work again.
-    ASSERT_TRUE(store.publish("fifo_chain", "omnisim", fp, snap));
-    EXPECT_NE(store.load("fifo_chain", "omnisim", fp, snap.depths),
-              nullptr);
+    ASSERT_TRUE(store.publish("fifo_chain", "omnisim", fp, fr.record()));
+    EXPECT_NE(store.load("fifo_chain", "omnisim", fp, depths), nullptr);
+
+    // A readable file recorded against another design revision is a
+    // miss for both loaders too.
+    before = misses.value();
+    EXPECT_EQ(store.load("fifo_chain", "omnisim", fp + 1, depths), nullptr);
+    EXPECT_EQ(misses.value(), before + 1);
+    before = misses.value();
+    EXPECT_TRUE(store.loadAll("fifo_chain", "omnisim", fp + 1, 8).empty());
+    EXPECT_EQ(misses.value(), before + 1);
 }
 
 TEST(RunStore, LoadAllWarmStartsTheEvalCache)
@@ -551,6 +622,16 @@ TEST(RunStore, LoadAllWarmStartsTheEvalCache)
         EXPECT_GE(store.count("reconvergent", "omnisim"),
                   1u + rep.fullRuns);
     }
+}
+
+TEST(RunStore, KeyHashesKeepTheirValues)
+{
+    // File names carry the depth hash and every file carries the design
+    // fingerprint: a change to either value orphans every published run.
+    EXPECT_EQ(io::depthVectorHash({2, 2}), 0xeb0a27bf10e6da21ull);
+    EXPECT_EQ(io::designFingerprint(
+                  designs::findDesign("fifo_chain").build()),
+              0xe0a825d6fc1ded97ull);
 }
 
 TEST(RunStore, FingerprintExcludesDepthsButSeesStructure)

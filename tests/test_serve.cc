@@ -17,6 +17,7 @@
 #include "design/frontend.hh"
 #include "designs/common.hh"
 #include "helpers.hh"
+#include "io/run_store.hh"
 #include "obs/log.hh"
 #include "serve/json.hh"
 #include "serve/service.hh"
@@ -595,6 +596,69 @@ TEST(SimServiceTest, WarmStartAcrossServiceInstances)
         ASSERT_TRUE(okField(r)) << r.dump();
         EXPECT_EQ(strField(r, "method"), "incremental");
     }
+}
+
+TEST(SimServiceTest, ConcurrentPublishesAndWarmStartsShareTheStore)
+{
+    // Two workers over one store: simulate requests at fresh depths
+    // publish their runs while other requests warm-start reconvergent
+    // from the run an earlier instance published, and resimulate
+    // requests probe the runs published so far.
+    TempDir dir("svc_concurrent_store");
+    {
+        SimService first({1, dir.path, 4, {}});
+        ASSERT_TRUE(okField(ask(
+            first, R"({"id":0,"op":"simulate","design":"reconvergent"})")));
+    }
+
+    constexpr int kRounds = 8;
+    sync::Mutex mu;
+    std::vector<JsonValue> responses;
+    {
+        SimService svc({2, dir.path, 4, {}});
+        const auto submit = [&](const std::string &line) {
+            svc.submit(line, [&](std::string out) {
+                sync::LockGuard lock(mu);
+                responses.push_back(JsonValue::parse(out));
+            });
+        };
+        for (int i = 0; i < kRounds; ++i) {
+            submit(strf("{\"id\":%d,\"op\":\"simulate\","
+                        "\"design\":\"fifo_chain\","
+                        "\"depths\":{\"a\":%d}}", 3 * i, 10 + i));
+            submit(strf("{\"id\":%d,\"op\":\"resimulate\","
+                        "\"design\":\"reconvergent\","
+                        "\"depths\":{\"fast\":%d}}", 3 * i + 1,
+                        4 + i % 3));
+            submit(strf("{\"id\":%d,\"op\":\"resimulate\","
+                        "\"design\":\"fifo_chain\","
+                        "\"depths\":{\"b\":%d}}", 3 * i + 2, 3 + i));
+        }
+        svc.drain();
+    }
+
+    ASSERT_EQ(responses.size(), static_cast<std::size_t>(3 * kRounds));
+    for (const JsonValue &r : responses) {
+        ASSERT_TRUE(okField(r)) << r.dump();
+        EXPECT_EQ(strField(r, "status"), "Ok") << r.dump();
+        // The reconvergent pool starts from the stored run, and every
+        // probe of it keeps its recorded constraints.
+        if (numField(r, "id") % 3 == 1) {
+            EXPECT_EQ(strField(r, "method"), "incremental") << r.dump();
+        }
+    }
+
+    // Every published file is whole: each one reopens. (A resimulate
+    // that finds the fifo_chain pool still empty runs and publishes
+    // too, so there may be more files than simulate requests.)
+    const io::RunStore store(dir.path);
+    const Design chain = designs::findDesign("fifo_chain").build();
+    const std::size_t published = store.count("fifo_chain", "omnisim");
+    EXPECT_GE(published, static_cast<std::size_t>(kRounds));
+    EXPECT_EQ(store.loadAll("fifo_chain", "omnisim",
+                            io::designFingerprint(chain), 64)
+                  .size(),
+              published);
 }
 
 TEST(SimServiceTest, ServeLinesDrainsAndAnswersShutdownLast)

@@ -230,17 +230,10 @@ TEST(Verify, RegistryCompilesCleanWithVerifierForcedOn)
             const SimResult r = engine.run();
             if (r.status != SimStatus::Ok)
                 continue; // nothing frozen to verify
-            // Round-trip through OMSIMRUN: decodeRun re-verifies the
-            // rehydrated layout under pass="rehydrate".
-            RunSnapshot snap;
-            ASSERT_TRUE(engine.exportSnapshot(snap));
-            io::RunFileMeta meta;
-            meta.design = d.name();
-            meta.engine = "omnisim";
-            const std::string bytes = io::encodeRun(meta, snap);
-            io::RunFileMeta meta2;
-            RunSnapshot snap2;
-            EXPECT_NO_THROW(io::decodeRun(bytes, meta2, snap2));
+            // Round-trip through OMSIMRUN: decoding re-verifies the
+            // persisted layout under pass="rehydrate".
+            EXPECT_NO_THROW(
+                io::StoredRun::decode(test::runImage(d, engine, r)));
         }
     };
     sweep(designs::typeADesigns());
