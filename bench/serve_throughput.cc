@@ -43,9 +43,9 @@
  *
  * Results land in BENCH_serve.json (per-design cold/warm seconds and
  * speedup, geomean speedup, requests/s, per-op quantiles, overhead
- * ratios) for the CI trajectory; the acceptance bar is warm >= 5x cold
- * on the registry geomean plus the telemetry and logging overhead
- * gates.
+ * ratios). The exit status gates only the telemetry and logging
+ * overheads; the warm/cold speedup is reported, not gated (the serve
+ * axis is timed by bench/omnibench's serve_mix workload).
  *
  * Usage: serve_throughput [--repeats N] [--requests N] [--jobs N]
  *                         [--json PATH] [--store DIR]
@@ -257,7 +257,7 @@ main(int argc, char **argv)
 
         // Cold: fresh service, empty store.
         {
-            serve::SimService cold({1, storeDir, 4, {}});
+            serve::SimService cold({1, storeDir, {}});
             Stopwatch sw;
             const serve::JsonValue r = ask(cold, simulateLine(e->name));
             dt.coldSeconds = sw.seconds();
@@ -270,7 +270,7 @@ main(int argc, char **argv)
         if (dt.ok && !dt.fifoNames.empty()) {
             // Warm: a different service instance — the cross-process
             // story — served purely from the store.
-            serve::SimService warm({1, storeDir, 4, {}});
+            serve::SimService warm({1, storeDir, {}});
             Stopwatch first;
             const serve::JsonValue r =
                 ask(warm, resimulateLine(e->name, 1));
@@ -321,7 +321,7 @@ main(int argc, char **argv)
     double requestSeconds = 0;
     std::size_t requestCount = 0;
     {
-        serve::SimService svc({jobs, storeDir, 4, {}});
+        serve::SimService svc({jobs, storeDir, {}});
         std::vector<std::string> lines;
         std::size_t okDesigns = 0;
         for (const auto &dt : timings)
@@ -396,7 +396,7 @@ main(int argc, char **argv)
                 okd.push_back(&dt);
         if (!okd.empty()) {
             overheadRequests = std::max(requests, 96u);
-            serve::SimService svc({jobs, storeDir, 4, {}});
+            serve::SimService svc({jobs, storeDir, {}});
             // Past the dispatch-phase range but well under the serve
             // layer's 2^20 depth cap, so every probe is a genuine
             // incremental request rather than a validation error.
@@ -454,7 +454,7 @@ main(int argc, char **argv)
                 okd.push_back(&dt);
         if (!okd.empty()) {
             loggingRequests = std::max(requests, 96u);
-            serve::SimService svc({jobs, storeDir, 4, {}});
+            serve::SimService svc({jobs, storeDir, {}});
             obs::setLogLevel(obs::LogLevel::Warn);
             unsigned probeBase = 200000; // disjoint from every phase above
             const auto trial = [&](bool logOn) {

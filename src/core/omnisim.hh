@@ -179,8 +179,8 @@ class OmniSim
      * Reference implementation of resimulate(): rebuilds the full
      * adjacency-list graph and re-runs Kahn longest path from scratch
      * on every call. Kept as the ground truth the compiled path is
-     * tested against (tests/test_compiled_run.cc) and as the baseline
-     * bench/dse_throughput.cc measures its speedup over.
+     * tested against (tests/test_compiled_run.cc) and as the in-run
+     * reference of bench/omnibench's dse_warm workload.
      */
     IncrementalOutcome
     resimulateReference(const std::vector<std::uint32_t> &depths);

@@ -119,6 +119,15 @@ resolveSpace(const Design &d, const DseSpace &space)
 // EvalCache.
 // ---------------------------------------------------------------------------
 
+namespace
+{
+
+/** Cap on pooled completed runs per cache: each holds a complete
+ *  compiled run, so the pool is bounded to bound memory. */
+constexpr std::size_t kMaxPool = 4;
+
+} // namespace
+
 /**
  * One pooled completed run: either a live engine that ran in this
  * process, or a run rehydrated from the persistent store. The Design
@@ -146,10 +155,8 @@ struct EvalCache::PoolEntry
     }
 };
 
-EvalCache::EvalCache(std::function<Design()> builder, OmniSimOptions opts,
-                     std::size_t maxPool)
-    : builder_(std::move(builder)), opts_(opts),
-      maxPool_(std::max<std::size_t>(1, maxPool))
+EvalCache::EvalCache(std::function<Design()> builder, OmniSimOptions opts)
+    : builder_(std::move(builder)), opts_(opts)
 {
     fifoCount_ = builder_().fifos().size();
 }
@@ -180,19 +187,19 @@ EvalCache::refreshFromStore()
     {
         sync::LockGuard lock(mu_);
         store = store_;
-        if (!store || pool_.size() >= maxPool_)
+        if (!store || pool_.size() >= kMaxPool)
             return 0;
     }
 
     // Disk IO and rehydration happen outside the lock; adoption under
     // the lock dedups against entries (and races) by base depth vector.
     std::vector<std::unique_ptr<io::StoredRun>> runs = store->loadAll(
-        storeDesign_, storeEngine_, storeFingerprint_, maxPool_);
+        storeDesign_, storeEngine_, storeFingerprint_, kMaxPool);
 
     std::size_t adopted = 0;
     sync::LockGuard lock(mu_);
     for (auto &run : runs) {
-        if (pool_.size() >= maxPool_)
+        if (pool_.size() >= kMaxPool)
             break;
         const DepthVector &base = run->baseDepths();
         if (base.size() != fifoCount_)
@@ -364,7 +371,7 @@ EvalCache::computeFresh(const DepthVector &depths, bool allowIncremental)
                                  entry->engine->compiledRun().layout()});
             }
             sync::LockGuard lock(mu_);
-            if (pool_.size() < maxPool_)
+            if (pool_.size() < kMaxPool)
                 pool_.push_back(std::move(entry));
         }
     } catch (const std::exception &ex) {

@@ -155,7 +155,7 @@ ResolvedSpace resolveSpace(const Design &d, const DseSpace &space);
  * Memoizing evaluator for depth configurations. Thread-safe: strategy
  * code may call evaluate() from any number of batch workers
  * concurrently. Every configuration is first attempted incrementally
- * against a bounded pool of engines holding completed full runs
+ * against a pool of at most four engines holding completed full runs
  * (resimulate() only reads recorded run state, so pool members serve
  * many workers at once); a configuration all pool members refuse gets a
  * fresh full run, which then joins the pool and seeds future reuse.
@@ -172,11 +172,9 @@ class EvalCache
      * @param builder rebuilds the design from scratch (depth overrides
      *        are applied on top for fallback full runs).
      * @param opts    engine options for fallback full runs.
-     * @param maxPool cap on pooled full-run engines (each holds a
-     *        complete simulation graph; bounded to bound memory).
      */
     explicit EvalCache(std::function<Design()> builder,
-                       OmniSimOptions opts = {}, std::size_t maxPool = 4);
+                       OmniSimOptions opts = {});
     ~EvalCache();
 
     EvalCache(const EvalCache &) = delete;
@@ -267,7 +265,6 @@ class EvalCache
 
     std::function<Design()> builder_;
     OmniSimOptions opts_;
-    std::size_t maxPool_;
     std::size_t fifoCount_;
 
     // Persistent store attachment (null == in-process only). Written

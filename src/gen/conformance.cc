@@ -184,8 +184,9 @@ checkConformance(const GenSpec &spec, const ConformanceOptions &opts)
     }
     rep.baseline = co.status;
 
+    // Cross-check omnisim finalization against live commit cycles.
     OmniSimOptions omOpts;
-    omOpts.verifyFinalization = opts.verifyFinalization;
+    omOpts.verifyFinalization = true;
     OmniSim engine(cd, omOpts);
     SimResult om;
     try {
@@ -204,27 +205,25 @@ checkConformance(const GenSpec &spec, const ConformanceOptions &opts)
     // with the optimization passes off must report the identical result
     // — and, below, answer every depth probe identically.
     std::unique_ptr<OmniSim> o0;
-    if (opts.withOptOracle) {
-        try {
-            OmniSimOptions o0Opts = omOpts;
-            o0Opts.optLevel = opt::OptLevel::O0;
-            o0 = std::make_unique<OmniSim>(cd, o0Opts);
-            const SimResult r0 = o0->run();
-            if (std::string diff =
-                    resultDiff("O1", om, "O0", r0, /*checkCycles=*/true);
-                !diff.empty())
-                div("opt-vs-O0", std::move(diff));
-            if (r0.status != SimStatus::Ok)
-                o0.reset(); // no probes without an Ok O0 baseline
-        } catch (const std::exception &e) {
-            div("opt-engine", e.what());
-            o0.reset();
-        }
+    try {
+        OmniSimOptions o0Opts = omOpts;
+        o0Opts.optLevel = opt::OptLevel::O0;
+        o0 = std::make_unique<OmniSim>(cd, o0Opts);
+        const SimResult r0 = o0->run();
+        if (std::string diff =
+                resultDiff("O1", om, "O0", r0, /*checkCycles=*/true);
+            !diff.empty())
+            div("opt-vs-O0", std::move(diff));
+        if (r0.status != SimStatus::Ok)
+            o0.reset(); // no probes without an Ok O0 baseline
+    } catch (const std::exception &e) {
+        div("opt-engine", e.what());
+        o0.reset();
     }
 
     const bool typeA = cd.classification.type == DesignType::A;
 
-    if (opts.withCsim && typeA && co.ok()) {
+    if (typeA && co.ok()) {
         // Naive C simulation has no timing model, but for Type A
         // designs its sequential infinite-depth execution must land on
         // the same functional outputs.
@@ -243,36 +242,31 @@ checkConformance(const GenSpec &spec, const ConformanceOptions &opts)
         }
     }
 
-    if (opts.withLightning) {
-        if (typeA && co.ok()) {
-            try {
-                const SimResult ls = simulateLightningSim(cd);
-                if (std::string diff = resultDiff("lightning", ls,
-                                                  "cosim", co,
-                                                  /*checkCycles=*/true);
-                    !diff.empty())
-                    div("lightning-vs-cosim", std::move(diff));
-            } catch (const std::exception &e) {
-                div("lightning-engine", e.what());
-            }
-        } else if (!typeA) {
-            // The Fig. 3 support matrix: Type B/C must be rejected.
-            try {
-                const SimResult ls = simulateLightningSim(cd);
-                if (ls.status != SimStatus::Unsupported)
-                    div("lightning-support",
-                        strf("Type %c design not rejected (status %s)",
-                             rep.designType, simStatusName(ls.status)));
-            } catch (const std::exception &e) {
-                div("lightning-engine", e.what());
-            }
+    if (typeA && co.ok()) {
+        try {
+            const SimResult ls = simulateLightningSim(cd);
+            if (std::string diff = resultDiff("lightning", ls, "cosim", co,
+                                              /*checkCycles=*/true);
+                !diff.empty())
+                div("lightning-vs-cosim", std::move(diff));
+        } catch (const std::exception &e) {
+            div("lightning-engine", e.what());
+        }
+    } else if (!typeA) {
+        // The Fig. 3 support matrix: Type B/C must be rejected.
+        try {
+            const SimResult ls = simulateLightningSim(cd);
+            if (ls.status != SimStatus::Unsupported)
+                div("lightning-support",
+                    strf("Type %c design not rejected (status %s)",
+                         rep.designType, simStatusName(ls.status)));
+        } catch (const std::exception &e) {
+            div("lightning-engine", e.what());
         }
     }
 
-    if (opts.withServeEcho) {
-        if (std::string diff = serveEchoDiff(om); !diff.empty())
-            div("serve-echo", std::move(diff));
-    }
+    if (std::string diff = serveEchoDiff(om); !diff.empty())
+        div("serve-echo", std::move(diff));
 
     // Depth-delta oracles need an Ok baseline and at least one FIFO.
     if (!om.ok() || d.fifos().empty() || opts.resimProbes == 0)
@@ -286,26 +280,24 @@ checkConformance(const GenSpec &spec, const ConformanceOptions &opts)
     // does (bytes -> decode -> validate -> freeze); every probe then
     // checks the stored run against the live engine.
     std::unique_ptr<io::StoredRun> stored;
-    if (opts.withIo) {
-        try {
-            std::vector<std::string> labels;
-            for (const auto &f : d.fifos())
-                labels.push_back(f.name);
-            io::RunFileMeta meta;
-            meta.design = d.name();
-            meta.engine = "omnisim";
-            meta.fingerprint = io::designFingerprint(d);
-            stored = io::StoredRun::decode(io::encodeRun(
-                meta, {base, labels, om, engine.compiledRun().layout()}));
-            if (stored->meta().design != meta.design ||
-                stored->meta().engine != meta.engine ||
-                stored->meta().fingerprint != meta.fingerprint) {
-                div("io-round-trip", "meta block did not round-trip");
-                stored.reset();
-            }
-        } catch (const std::exception &e) {
-            div("io-round-trip", e.what());
+    try {
+        std::vector<std::string> labels;
+        for (const auto &f : d.fifos())
+            labels.push_back(f.name);
+        io::RunFileMeta meta;
+        meta.design = d.name();
+        meta.engine = "omnisim";
+        meta.fingerprint = io::designFingerprint(d);
+        stored = io::StoredRun::decode(io::encodeRun(
+            meta, {base, labels, om, engine.compiledRun().layout()}));
+        if (stored->meta().design != meta.design ||
+            stored->meta().engine != meta.engine ||
+            stored->meta().fingerprint != meta.fingerprint) {
+            div("io-round-trip", "meta block did not round-trip");
+            stored.reset();
         }
+    } catch (const std::exception &e) {
+        div("io-round-trip", e.what());
     }
 
     Prng prng(spec.seed ^ 0x0a02bdbf7bb3c0a7ULL);

@@ -59,18 +59,6 @@ struct ConformanceOptions
      *  runs (omnisim and cosim) at the probed depths. */
     std::uint32_t groundTruthProbes = 1;
 
-    bool withCsim = true;
-    bool withLightning = true;
-    bool withIo = true;
-    bool withServeEcho = true;
-
-    /** Freeze a second engine at -O0 and require bit-identical answers
-     *  from every probe (the compile-pipeline exactness oracle). */
-    bool withOptOracle = true;
-
-    /** Cross-check omnisim finalization against live commit cycles. */
-    bool verifyFinalization = true;
-
     /** Force the IR verifier on for every compile this run performs:
      *  pass bugs then surface as engine divergences whose detail
      *  carries the bracketed [invariant-id]. */

@@ -283,8 +283,8 @@ SimService::cacheFor(const std::string &design)
                 dc->fifoNames.push_back(f.name);
                 dc->baseDepths.push_back(f.depth);
             }
-            dc->cache = std::make_unique<dse::EvalCache>(
-                de.build, opts_.engine, opts_.maxPoolPerDesign);
+            dc->cache =
+                std::make_unique<dse::EvalCache>(de.build, opts_.engine);
             it = caches_.emplace(design, std::move(dc)).first;
         }
         entry = it->second.get();

@@ -72,9 +72,6 @@ struct ServeOptions
      *  warm cache only). */
     std::string storeDir;
 
-    /** Reuse-pool cap per design (dse::EvalCache maxPool). */
-    std::size_t maxPoolPerDesign = 4;
-
     /** Engine options for OmniSim runs the service performs. */
     OmniSimOptions engine;
 };

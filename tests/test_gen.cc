@@ -132,6 +132,7 @@ TEST(GenSpec, GenerationIsDeterministicAndSeedSensitive)
 
 TEST(GenConformance, DefaultConfigCorpusIsClean)
 {
+    std::uint32_t probes = 0;
     for (std::uint64_t seed = 1; seed <= 60; ++seed) {
         const GenSpec spec = gen::generateSpec(seed);
         const gen::ConformanceReport rep =
@@ -139,7 +140,12 @@ TEST(GenConformance, DefaultConfigCorpusIsClean)
         EXPECT_TRUE(rep.clean())
             << "seed " << seed << ": " << rep.summary() << "\nspec: "
             << gen::specToString(spec);
+        probes += rep.probesRun;
     }
+    // The depth-delta oracles must keep running: the corpus runs 153
+    // probes today, and a drop past 15% means probes stopped reaching
+    // them (fewer Ok baselines, or probes aborted by engine errors).
+    EXPECT_GE(probes, 131u);
 }
 
 TEST(GenConformance, NonBlockingHeavyCorpusIsClean)

@@ -224,7 +224,7 @@ TEST(ServeJson, MalformedSurrogateEscapesAreParseErrors)
 
 TEST(SimServiceTest, SimulateMatchesDirectEngineRun)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     const JsonValue r = ask(
         svc, R"({"id":7,"op":"simulate","design":"fifo_chain"})");
     ASSERT_TRUE(okField(r)) << r.dump();
@@ -240,7 +240,7 @@ TEST(SimServiceTest, SimulateMatchesDirectEngineRun)
 
 TEST(SimServiceTest, ResimulateIsServedIncrementallyAfterSimulate)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     ASSERT_TRUE(okField(ask(
         svc, R"({"id":1,"op":"simulate","design":"fifo_chain"})")));
     const JsonValue r = ask(svc,
@@ -260,7 +260,7 @@ TEST(SimServiceTest, ResimulateIsServedIncrementallyAfterSimulate)
 
 TEST(SimServiceTest, DepthsAcceptArrayForm)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     const JsonValue r = ask(svc,
         R"({"id":1,"op":"simulate","design":"fifo_chain",)"
         R"("depths":[3,5]})");
@@ -270,7 +270,7 @@ TEST(SimServiceTest, DepthsAcceptArrayForm)
 
 TEST(SimServiceTest, ForeignEngineRunsViaScenarioPath)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     const JsonValue r = ask(svc,
         R"({"id":1,"op":"simulate","design":"fifo_chain",)"
         R"("engine":"cosim"})");
@@ -281,7 +281,7 @@ TEST(SimServiceTest, ForeignEngineRunsViaScenarioPath)
 
 TEST(SimServiceTest, ErrorIsolationKeepsServing)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
 
     // Unknown design.
     JsonValue r = ask(
@@ -323,7 +323,7 @@ TEST(SimServiceTest, ErrorResponseCarriesCidAndLogTail)
     // LogCapture collects warn+ events independently of the sink level).
     setLogQuiet(true);
     obs::setLogEnabled(true);
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
 
     // A failing request (FatalError inside the engine layer) must come
     // back as a structured error carrying the request correlation id and
@@ -363,7 +363,7 @@ TEST(SimServiceTest, ErrorResponseCarriesCidAndLogTail)
 
 TEST(SimServiceTest, DseOpRunsAndReportsFrontier)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     const JsonValue r = ask(svc,
         R"({"id":1,"op":"dse","design":"reconvergent","strategy":"grid",)"
         R"("budget":12,"jobs":1})");
@@ -378,7 +378,7 @@ TEST(SimServiceTest, DseOpRunsAndReportsFrontier)
 
 TEST(SimServiceTest, BatchOpRunsScenarios)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     const JsonValue r = ask(svc,
         R"({"id":1,"op":"batch","designs":["fifo_chain","fir_filter"],)"
         R"("engines":["omnisim","csim"],"seeds":1,"jobs":2})");
@@ -393,7 +393,7 @@ TEST(SimServiceTest, RequestJobsAreCappedAtTheServiceWidth)
     // A request may not start more threads than the service runs: 4096
     // resolves to the service's own width, echoed in the response. (A
     // one-scenario batch starts no extra thread even when uncapped.)
-    SimService svc({2, "", 4, {}});
+    SimService svc({2, "", {}});
     const JsonValue r = ask(svc,
         R"({"id":1,"op":"batch","designs":["fifo_chain"],"seeds":1,)"
         R"("jobs":4096})");
@@ -404,7 +404,7 @@ TEST(SimServiceTest, RequestJobsAreCappedAtTheServiceWidth)
 
 TEST(SimServiceTest, ListAndStatsOps)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     const JsonValue list = ask(svc, R"({"id":1,"op":"list"})");
     ASSERT_TRUE(okField(list));
     EXPECT_GT(list.find("designs")->array().size(), 10u);
@@ -416,7 +416,7 @@ TEST(SimServiceTest, ListAndStatsOps)
 
 TEST(SimServiceTest, StatsReportsUptimeInflightAndPerOpRequests)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     ask(svc, R"({"id":1,"op":"list"})");
     const JsonValue stats = ask(svc, R"({"id":2,"op":"stats"})");
     ASSERT_TRUE(okField(stats));
@@ -465,7 +465,7 @@ metricsCounter(const JsonValue &r, const std::string &name)
 
 TEST(SimServiceTest, MetricsOpCountsPerOpAndReportsQuantiles)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     const JsonValue before = ask(svc, R"({"id":1,"op":"metrics"})");
     ASSERT_TRUE(okField(before));
     const double sim0 = metricsCounter(before, "serve.requests.simulate");
@@ -505,7 +505,7 @@ TEST(SimServiceTest, MetricsOpCountsPerOpAndReportsQuantiles)
 
 TEST(SimServiceTest, MetricsOpPrometheusFormat)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     ask(svc, R"({"id":1,"op":"list"})");
     const JsonValue r =
         ask(svc, R"({"id":2,"op":"metrics","format":"prometheus"})");
@@ -519,7 +519,7 @@ TEST(SimServiceTest, MetricsOpPrometheusFormat)
 
 TEST(SimServiceTest, ShutdownSetsFlagAndEchoesId)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     EXPECT_FALSE(svc.shutdownRequested());
     const JsonValue r =
         ask(svc, R"({"id":"bye","op":"shutdown"})");
@@ -534,7 +534,7 @@ TEST(SimServiceTest, ShutdownSetsFlagAndEchoesId)
 
 TEST(SimServiceTest, ConcurrentSubmissionsAllAnswer)
 {
-    SimService svc({4, "", 4, {}});
+    SimService svc({4, "", {}});
     constexpr int kRequests = 24;
 
     sync::Mutex mu;
@@ -580,7 +580,7 @@ TEST(SimServiceTest, WarmStartAcrossServiceInstances)
 
     // Service instance 1 pays for the trace and publishes it.
     {
-        SimService svc({1, dir.path, 4, {}});
+        SimService svc({1, dir.path, {}});
         const JsonValue r = ask(
             svc, R"({"id":1,"op":"simulate","design":"reconvergent"})");
         ASSERT_TRUE(okField(r)) << r.dump();
@@ -590,7 +590,7 @@ TEST(SimServiceTest, WarmStartAcrossServiceInstances)
     // Instance 2 — a fresh "process" — serves resimulate incrementally
     // from the stored run without any full engine run.
     {
-        SimService svc({1, dir.path, 4, {}});
+        SimService svc({1, dir.path, {}});
         const JsonValue r = ask(svc,
             R"({"id":2,"op":"resimulate","design":"reconvergent"})");
         ASSERT_TRUE(okField(r)) << r.dump();
@@ -606,7 +606,7 @@ TEST(SimServiceTest, ConcurrentPublishesAndWarmStartsShareTheStore)
     // requests probe the runs published so far.
     TempDir dir("svc_concurrent_store");
     {
-        SimService first({1, dir.path, 4, {}});
+        SimService first({1, dir.path, {}});
         ASSERT_TRUE(okField(ask(
             first, R"({"id":0,"op":"simulate","design":"reconvergent"})")));
     }
@@ -615,7 +615,7 @@ TEST(SimServiceTest, ConcurrentPublishesAndWarmStartsShareTheStore)
     sync::Mutex mu;
     std::vector<JsonValue> responses;
     {
-        SimService svc({2, dir.path, 4, {}});
+        SimService svc({2, dir.path, {}});
         const auto submit = [&](const std::string &line) {
             svc.submit(line, [&](std::string out) {
                 sync::LockGuard lock(mu);
@@ -663,7 +663,7 @@ TEST(SimServiceTest, ConcurrentPublishesAndWarmStartsShareTheStore)
 
 TEST(SimServiceTest, ServeLinesDrainsAndAnswersShutdownLast)
 {
-    SimService svc({2, "", 4, {}});
+    SimService svc({2, "", {}});
     std::istringstream in(
         "{\"id\":1,\"op\":\"simulate\",\"design\":\"fifo_chain\"}\n"
         "\n" // blank lines are ignored
@@ -691,7 +691,7 @@ TEST(SimServiceTest, ServeLinesDrainsAndAnswersShutdownLast)
 
 TEST(SimServiceTest, UnterminatedFinalLineStillAnswered)
 {
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     std::istringstream in(R"({"id":1,"op":"stats"})"); // no newline
     std::ostringstream out;
     EXPECT_EQ(serve::serveLines(svc, in, out), 0);
@@ -704,7 +704,7 @@ TEST(SimServiceTest, OversizedRequestLineIsRejectedNotBuffered)
 {
     // One endless line must not OOM the resident service: it earns a
     // structured error and the session keeps serving.
-    SimService svc({1, "", 4, {}});
+    SimService svc({1, "", {}});
     std::string input((2u << 20), 'x');
     input += "\n{\"id\":1,\"op\":\"stats\"}\n{\"id\":2,\"op\":"
              "\"shutdown\"}\n";
@@ -779,7 +779,7 @@ TEST(SimServiceTest, ClientDisconnectMidResponseDoesNotKillService)
     TempDir dir("svc_sock");
     const std::string path = dir.path + "/sock";
 
-    SimService svc({2, "", 4, {}});
+    SimService svc({2, "", {}});
     int rc = -1;
     std::thread server(
         [&] { rc = serve::serveUnixSocket(svc, path); });
