@@ -1298,27 +1298,6 @@ OmniSim::run()
 IncrementalOutcome
 OmniSim::resimulate(const std::vector<std::uint32_t> &depths)
 {
-    static obs::Counter &mAttempts =
-        obs::Registry::global().counter("engine.resim.attempts");
-    static obs::Counter &mDelta =
-        obs::Registry::global().counter("engine.resim.delta");
-    static obs::Counter &mFullRelax =
-        obs::Registry::global().counter("engine.resim.full_relax");
-    static obs::Counter &mDiverged =
-        obs::Registry::global().counter("engine.resim.diverged");
-    static obs::Counter &mInfeasible =
-        obs::Registry::global().counter("engine.resim.infeasible");
-    static obs::Counter &mReused =
-        obs::Registry::global().counter("engine.resim.reused");
-    static obs::Histogram &mConeNodes =
-        obs::Registry::global().histogram("engine.resim.cone_nodes");
-    static obs::Histogram &mResimUs =
-        obs::Registry::global().histogram("engine.resim.us");
-    // Hot span: fires per incremental request; the flight mirror keeps
-    // serve.request / dse.evaluate as the crash-stack context instead.
-    OMNISIM_SPAN_HOT("omnisim.resimulate");
-    obs::ScopedLatencyUs resimTimer(mResimUs);
-
     IncrementalOutcome out;
     if (!data_ || !data_->valid) {
         out.reason = "no prior successful run";
@@ -1330,22 +1309,14 @@ OmniSim::resimulate(const std::vector<std::uint32_t> &depths)
     omnisim_assert(rd.compiled != nullptr, "valid run has no compiled form");
 
     const CompiledRun::Attempt a = rd.compiled->resimulate(depths);
-    mAttempts.add();
-    if (a.viaDelta)
-        mDelta.add();
-    else
-        mFullRelax.add(); // fell back to a full relaxation pass
-    mConeNodes.record(a.relaxedNodes);
     out.viaCompiled = true;
-    out.viaDelta = a.viaDelta;
+    out.viaDelta = a.viaDelta();
     switch (a.status) {
       case CompiledRun::Attempt::Status::Infeasible:
-        mInfeasible.add();
         out.reason = "new depths make the recorded timing infeasible "
                      "(potential deadlock) — full re-simulation required";
         return out;
       case CompiledRun::Attempt::Status::Diverged: {
-        mDiverged.add();
         const QueryRecord &qr = rd.constraints[a.constraintIndex];
         out.reason = strf(
             "constraint violated: %s #%u on fifo '%s' would now "
@@ -1355,7 +1326,6 @@ OmniSim::resimulate(const std::vector<std::uint32_t> &depths)
         return out;
       }
       case CompiledRun::Attempt::Status::Reused:
-        mReused.add();
         out.reused = true;
         out.result = rd.result;
         out.result.totalCycles = a.totalCycles;

@@ -166,11 +166,12 @@ class OmniSim
      * Attempt incremental re-simulation under new FIFO depths without
      * re-running the design (requires a prior successful run()).
      *
-     * Served by the CompiledRun frozen at the end of run(): the WAR
-     * edge delta is diffed for the changed depths only and node times
-     * are relaxed over just the affected cone in cached topological
-     * order, falling back to one full relaxation pass over the compiled
-     * CSR when the delta is too large or may create a timing cycle.
+     * Served, and counted in the engine.resim.* metrics, by the
+     * CompiledRun frozen at the end of run(): only the writes of changed
+     * FIFOs whose time the new depths move seed a sweep over the
+     * affected cone in cached topological order, falling back to one
+     * full relaxation pass over the compiled CSR when the seeds or the
+     * cone outgrow the cone cap or a timing cycle may have formed.
      * Outcomes are bit-identical to resimulateReference().
      */
     IncrementalOutcome resimulate(const std::vector<std::uint32_t> &depths);

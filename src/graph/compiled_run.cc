@@ -1,9 +1,12 @@
 #include "graph/compiled_run.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/omnisim.hh"
 #include "obs/log.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "opt/pass_manager.hh"
 #include "support/logging.hh"
 
@@ -347,13 +350,21 @@ CompiledRun::relaxFull(const std::vector<std::uint32_t> &depths,
     return processed == n;
 }
 
-void
+Cycles
 CompiledRun::relaxInOrder(const std::vector<std::uint32_t> &depths,
-                          std::vector<Cycles> &time) const
+                          std::vector<Cycles> &time, std::size_t from) const
 {
     time.resize(lay_.numNodes);
-    for (const std::uint64_t v : order_)
-        time[v] = recompute(v, time, depths);
+    Cycles end = 0;
+    for (std::size_t i = 0; i < from; ++i)
+        end = std::max(end, time[order_[i]] + lay_.dur[order_[i]]);
+    for (std::size_t i = from; i < order_.size(); ++i) {
+        const std::uint64_t v = order_[i];
+        const Cycles t = recompute(v, time, depths);
+        time[v] = t;
+        end = std::max(end, t + lay_.dur[v]);
+    }
+    return end;
 }
 
 Cycles
@@ -382,111 +393,164 @@ CompiledRun::recompute(std::uint64_t v, const std::vector<Cycles> &cur,
     return t;
 }
 
-bool
+std::size_t
+CompiledRun::readRankBound(const opt::FifoLayout &fl, std::size_t k) const
+{
+    // The universal certificate ranks write w above every live read
+    // r < w, so the last live read at or below k bounds writes past k.
+    std::size_t r = std::min(k, fl.readNode.size());
+    while (r > 0 && fl.readNode[r - 1] == opt::kNoNode)
+        --r;
+    return r > 0 ? rank_[fl.readNode[r - 1]] + 1 : 0;
+}
+
+std::size_t
+CompiledRun::collectSeeds(const std::vector<std::uint32_t> &depths,
+                          const std::vector<std::size_t> &changedFifos,
+                          std::size_t cap, Scratch &s) const
+{
+    std::size_t from = lay_.numNodes;
+    for (std::size_t k = 0; k < changedFifos.size(); ++k) {
+        const opt::FifoLayout &fl = lay_.fifos[changedFifos[k]];
+        const std::uint32_t was = baseDepths_[changedFifos[k]];
+        const std::uint32_t now = depths[changedFifos[k]];
+        const std::size_t first = s.seeds.size();
+        // The scan touches a few words per write; raw pointers keep the
+        // seed pushes from forcing reloads of the layout's vectors.
+        const std::uint32_t *writes = fl.writeNode.data();
+        const std::uint8_t *blocking = fl.writeBlocking.data();
+        const std::uint32_t *reads = fl.readNode.data();
+        const std::size_t numWrites = fl.writeNode.size();
+        const std::size_t numReads = fl.readNode.size();
+        const Cycles *base = baseTime_.data();
+        // Write w's WAR term under depth d: one past the (w - d)-th read,
+        // or 0 (never binding) when there is no such edge. Times start
+        // at 0, so a real term is at least 1.
+        const auto warTerm = [&](std::size_t w, std::uint32_t d) -> Cycles {
+            if (w <= d || w - d > numReads)
+                return 0;
+            const std::uint32_t rn = reads[w - d - 1];
+            return rn == opt::kNoNode ? 0 : base[rn] + 1;
+        };
+        // Writes at or below both depths have a WAR in-edge under
+        // neither; NB and pruned writes never have one.
+        for (std::size_t w = std::min(was, now) + std::size_t{1};
+             w <= numWrites; ++w) {
+            const std::uint32_t v = writes[w - 1];
+            if (v == opt::kNoNode || !blocking[w - 1])
+                continue;
+            // The baseline time is the max of the other in-edges and the
+            // old WAR term. A new term above it moves the write; one at
+            // or below it moves the write only if the old term was the
+            // binding in-edge and no other in-edge ties it.
+            const Cycles next = warTerm(w, now);
+            if (next <= base[v] &&
+                (next == base[v] || warTerm(w, was) != base[v] ||
+                 recompute(v, baseTime_, depths) == base[v]))
+                continue;
+            s.seeds.push_back(v);
+            if (s.seeds.size() > cap)
+                break;
+        }
+        // This FIFO's seeds are its writes from its first seed on. Kept
+        // out of the scan above, whose codegen the probes without seeds
+        // pay for.
+        if (s.seeds.size() > first) {
+            const std::uint32_t w = lay_.accIdx[s.seeds[first]];
+            from = std::min(from, readRankBound(fl, w - 1));
+        }
+        if (s.seeds.size() > cap) {
+            // Over the cap: bound the FIFOs not looked at as well.
+            for (std::size_t j = k + 1; j < changedFifos.size(); ++j) {
+                const std::size_t f = changedFifos[j];
+                from = std::min(from,
+                                readRankBound(lay_.fifos[f],
+                                              std::min(baseDepths_[f],
+                                                       depths[f])));
+            }
+            break;
+        }
+    }
+    return from;
+}
+
+CompiledRun::Attempt::Path
 CompiledRun::relaxDelta(const std::vector<std::uint32_t> &depths,
-                        const std::vector<std::size_t> &changedFifos,
-                        std::vector<Cycles> &cur,
-                        std::vector<std::uint8_t> &changedFlag,
-                        std::vector<std::uint64_t> &changedNodes) const
+                        Scratch &s, std::size_t cap,
+                        std::size_t &recomputed, std::size_t &resume) const
 {
     const std::size_t n = lay_.numNodes;
+    std::vector<Cycles> &cur = s.time;
+    std::vector<std::uint8_t> &pending = s.pending;
 
-    // A FIFO shrinking well below its recorded depth newly constrains
-    // nearly every write it carried; the resulting cone is routinely a
-    // third of the graph, and per-node recomputation (random-access
-    // in-edge scans) then loses to one streaming Kahn pass. Predict
-    // that case from the binding-write count and skip straight to the
-    // full pass.
-    std::size_t shrinkBound = 0;
-    for (const std::size_t f : changedFifos) {
-        const opt::FifoLayout &fl = lay_.fifos[f];
-        if (depths[f] < baseDepths_[f] &&
-            fl.writeNode.size() > depths[f])
-            shrinkBound +=
-                std::min<std::size_t>(fl.blockingWrites,
-                                      fl.writeNode.size() - depths[f]);
-    }
-    if (shrinkBound > n / 16)
-        return false;
-
-    // Seed: every write whose WAR in-edge is added, removed, or
-    // re-sourced by a changed depth. Beyond half the graph the full
-    // pass is no slower — bail before paying for the scratch.
-    std::vector<std::uint64_t> seeds;
-    for (const std::size_t f : changedFifos) {
-        const opt::FifoLayout &fl = lay_.fifos[f];
-        const std::uint32_t lo = std::min(baseDepths_[f], depths[f]);
-        for (std::uint64_t w = static_cast<std::uint64_t>(lo) + 1;
-             w <= fl.writeNode.size(); ++w) {
-            const std::uint32_t v =
-                fl.writeNode[static_cast<std::size_t>(w - 1)];
-            if (v == opt::kNoNode || !lay_.accBlockingWrite[v])
-                continue; // NB or pruned writes never gain an edge
-            seeds.push_back(v);
-            if (seeds.size() > n / 2)
-                return false;
-        }
-    }
-
-    cur = baseTime_;
-    changedFlag.assign(n, 0);
-    // Pending markers are indexed by *rank* so the sweep below scans
-    // them sequentially — the cache-friendliness is what lets a probe
-    // whose cone is a third of the graph still beat a full pass.
-    std::vector<std::uint8_t> pendingAt(n, 0);
-    std::size_t minPos = n;
-    for (const std::uint64_t v : seeds) {
+    // Pending markers are indexed by *rank*, so the sweep scans them
+    // sequentially between the lowest and the highest pending rank.
+    std::size_t lo = n, hi = 0;
+    for (const std::uint64_t v : s.seeds) {
         const std::size_t p = rank_[v];
-        if (!pendingAt[p]) {
-            pendingAt[p] = 1;
-            minPos = std::min(minPos, p);
-        }
+        pending[p] = 1;
+        lo = std::min(lo, p);
+        hi = std::max(hi, p);
     }
+    std::size_t lowest = lo; // lowest rank ever marked
+    // Handing over to the full pass can leave flags set from the lowest
+    // rank marked up to hi: clear them, as a converged sweep does.
+    const auto handOver = [&](std::size_t from, Attempt::Path path) {
+        std::fill(pending.begin() + static_cast<std::ptrdiff_t>(from),
+                  pending.begin() + static_cast<std::ptrdiff_t>(hi) + 1,
+                  std::uint8_t{0});
+        return path;
+    };
 
-    // Sweep the cached topological order from the first pending node,
-    // recomputing pending nodes exactly and marking out-neighbours
-    // pending on change. When the cached rank orders the probe's
-    // overlay (always, under a universal order — see freeze()), one
-    // sweep reaches the unique longest-path fixed point; otherwise a WAR
-    // edge pointing across the order or a genuine timing cycle leaves a
-    // pending node *behind* the sweep position, handled by bounded
-    // re-sweeps — chaotic re-evaluation still converges on any DAG —
-    // before handing the verdict to the full Kahn pass (which is what
-    // proves a cycle).
+    // Sweep the cached topological order, recomputing pending nodes
+    // exactly and marking out-neighbours pending on change. When the
+    // cached rank orders the probe's overlay (always, under a universal
+    // order — see freeze()), one sweep reaches the unique longest-path
+    // fixed point; otherwise a WAR edge pointing across the order or a
+    // genuine timing cycle leaves a pending node *behind* the sweep
+    // position, handled by bounded re-sweeps — chaotic re-evaluation
+    // still converges on any DAG — before handing the verdict to the
+    // full Kahn pass (which is what proves a cycle).
     for (int sweep = 0; sweep < 4; ++sweep) {
         std::size_t nextMin = n;
-        for (std::size_t i = minPos; i < n; ++i) {
-            if (!pendingAt[i])
+        for (std::size_t i = lo; i <= hi; ++i) {
+            if (!pending[i])
                 continue;
-            pendingAt[i] = 0;
+            pending[i] = 0;
+            ++recomputed;
             const std::uint64_t v = order_[i];
             const Cycles t = recompute(v, cur, depths);
             if (t == cur[v])
                 continue;
             cur[v] = t;
-            if (!changedFlag[v]) {
-                changedFlag[v] = 1;
-                changedNodes.push_back(v);
-                // A cone this wide means the prediction above missed
-                // (e.g. a deepened FIFO whose WAR edges all bound);
-                // cut the loss and let the streaming pass finish.
-                if (changedNodes.size() > n / 8)
-                    return false;
+            if (!s.changed[v]) {
+                s.changed[v] = 1;
+                s.changedNodes.push_back(v);
+                // Every rank up to i already holds its time.
+                if (s.changedNodes.size() > cap) {
+                    resume = i + 1;
+                    return handOver(std::min(lowest, nextMin),
+                                    Attempt::Path::ConeCap);
+                }
             }
             forEachOutOverlay(v, depths, [&](std::uint64_t dst, Cycles) {
                 const std::size_t p = rank_[dst];
-                if (!pendingAt[p]) {
-                    pendingAt[p] = 1;
-                    if (p <= i)
-                        nextMin = std::min(nextMin, p);
-                }
+                if (pending[p])
+                    return;
+                pending[p] = 1;
+                if (p <= i)
+                    nextMin = std::min(nextMin, p);
+                else
+                    hi = std::max(hi, p);
             });
         }
         if (nextMin == n)
-            return true;
-        minPos = nextMin;
+            return Attempt::Path::Delta; // every flag cleared again
+        lo = nextMin;
+        lowest = std::min(lowest, lo);
     }
-    return false;
+    resume = 0;
+    return handOver(lowest, Attempt::Path::Resweep);
 }
 
 bool
@@ -516,11 +580,11 @@ CompiledRun::evalConstraint(std::size_t i, const std::vector<Cycles> &time,
     }
 }
 
-CompiledRun::Attempt
+void
 CompiledRun::finishWithTimes(const std::vector<Cycles> &time,
-                             const std::vector<std::uint32_t> &depths) const
+                             const std::vector<std::uint32_t> &depths,
+                             Cycles end, Attempt &a) const
 {
-    Attempt a;
     a.relaxedNodes = time.size();
     for (std::size_t i = 0; i < lay_.cons.size(); ++i) {
         const bool now = evalConstraint(i, time, depths);
@@ -528,19 +592,104 @@ CompiledRun::finishWithTimes(const std::vector<Cycles> &time,
             a.status = Attempt::Status::Diverged;
             a.constraintIndex = lay_.cons[i].origIndex;
             a.nowAnswer = now;
-            return a;
+            return;
         }
     }
     a.status = Attempt::Status::Reused;
+    a.totalCycles = std::max(lay_.floor, end);
+}
+
+void
+CompiledRun::finishDelta(const std::vector<std::uint32_t> &depths,
+                         const std::vector<std::size_t> &changedFifos,
+                         const Scratch &s, Attempt &a) const
+{
+    // Every other constraint reads only unmoved times at its recorded
+    // target, so it still holds. The first divergence in recorded order
+    // is the lowest divergent index over these lists, so none of them
+    // needs merging: the sorted ones stop at their first divergence, and
+    // any list skips indices above the best found so far.
+    a.relaxedNodes = s.changedNodes.size();
+    std::uint32_t first = std::numeric_limits<std::uint32_t>::max();
+    bool firstAnswer = false;
+    const auto check = [&](std::uint32_t i) {
+        if (i >= first)
+            return true;
+        const bool now = evalConstraint(i, s.time, depths);
+        if (now == lay_.cons[i].outcome)
+            return false;
+        first = i;
+        firstAnswer = now;
+        return true;
+    };
+    const auto checkSorted = [&](const std::vector<std::uint32_t> &ids) {
+        for (const std::uint32_t i : ids)
+            if (check(i))
+                break;
+    };
+    checkSorted(baselineDivergent_);
+    for (const std::size_t f : changedFifos)
+        checkSorted(writeConsByFifo_[f]);
+    for (const std::uint64_t v : s.changedNodes)
+        for (std::uint32_t k = consOffsets_[v]; k < consOffsets_[v + 1]; ++k)
+            check(consIds_[k]);
+    if (first != std::numeric_limits<std::uint32_t>::max()) {
+        a.status = Attempt::Status::Diverged;
+        a.constraintIndex = lay_.cons[first].origIndex;
+        a.nowAnswer = firstAnswer;
+        return;
+    }
+
+    a.status = Attempt::Status::Reused;
+    // Total latency: the collapsed-node floor, the best unchanged
+    // baseline contribution (first byContrib_ entry outside the changed
+    // set — tail slack is folded into dur), improved by the changed
+    // nodes' new contributions.
     Cycles total = lay_.floor;
-    for (std::size_t v = 0; v < time.size(); ++v)
-        total = std::max(total, time[v] + lay_.dur[v]);
+    for (const std::uint64_t v : byContrib_) {
+        if (!s.changed[v]) {
+            total = std::max(total, baseTime_[v] + lay_.dur[v]);
+            break;
+        }
+    }
+    for (const std::uint64_t v : s.changedNodes)
+        total = std::max(total, s.time[v] + lay_.dur[v]);
     a.totalCycles = total;
-    return a;
+}
+
+std::unique_ptr<CompiledRun::Scratch>
+CompiledRun::takeScratch() const
+{
+    {
+        sync::LockGuard lock(scratchMu_);
+        if (!scratchFree_.empty()) {
+            std::unique_ptr<Scratch> s = std::move(scratchFree_.back());
+            scratchFree_.pop_back();
+            return s;
+        }
+    }
+    auto s = std::make_unique<Scratch>();
+    s->time = baseTime_;
+    s->changed.assign(lay_.numNodes, 0);
+    s->pending.assign(lay_.numNodes, 0);
+    return s;
+}
+
+void
+CompiledRun::returnScratch(std::unique_ptr<Scratch> s) const
+{
+    for (const std::uint64_t v : s->changedNodes) {
+        s->time[v] = baseTime_[v];
+        s->changed[v] = 0;
+    }
+    s->seeds.clear();
+    s->changedNodes.clear();
+    sync::LockGuard lock(scratchMu_);
+    scratchFree_.push_back(std::move(s));
 }
 
 CompiledRun::Attempt
-CompiledRun::resimulate(const std::vector<std::uint32_t> &depths) const
+CompiledRun::attempt(const std::vector<std::uint32_t> &depths) const
 {
     omnisim_assert(baselineAcyclic_,
                    "resimulate against an infeasible baseline");
@@ -559,7 +708,6 @@ CompiledRun::resimulate(const std::vector<std::uint32_t> &depths) const
     if (changedFifos.empty()) {
         // Times are the baseline times; only a lazy-mode repair can
         // diverge, and those constraints are precomputed.
-        a.viaDelta = true;
         if (!baselineDivergent_.empty()) {
             const opt::LayoutCons &c =
                 lay_.cons[baselineDivergent_.front()];
@@ -573,66 +721,104 @@ CompiledRun::resimulate(const std::vector<std::uint32_t> &depths) const
         return a;
     }
 
-    std::vector<Cycles> cur;
-    std::vector<std::uint8_t> changedFlag;
-    std::vector<std::uint64_t> changedNodes;
-    if (!relaxDelta(clamped, changedFifos, cur, changedFlag,
-                    changedNodes)) {
-        // Delta too large or the worklist hit its budget (the only way
-        // a timing cycle manifests): one exact full pass decides. A
-        // universal order is topological for every clamped probe, so
-        // the in-order sweep needs no feasibility verdict.
+    // The cone cap: past it one streaming pass beats the worklist.
+    const std::size_t n = lay_.numNodes;
+    const std::size_t cap = n / 8;
+    std::unique_ptr<Scratch> s = takeScratch();
+    std::size_t resume = collectSeeds(clamped, changedFifos, cap, *s);
+    a.seeds = s->seeds.size();
+    if (s->seeds.empty()) {
+        a.path = Attempt::Path::NoSeeds;
+    } else if (s->seeds.size() > cap) {
+        a.path = Attempt::Path::SeedCount;
+    } else {
+        a.path = relaxDelta(clamped, *s, cap, a.recomputed, resume);
+    }
+
+    if (a.viaDelta()) {
+        finishDelta(clamped, changedFifos, *s, a);
+    } else if (universalOrder_) {
+        // The delta is too large: one exact full sweep decides. A
+        // universal order is topological for every clamped probe, so the
+        // in-order sweep needs no feasibility verdict. Every rank below
+        // the lowest seed, or below where the delta sweep stopped,
+        // already holds its time in s->time; a prefix longer than the
+        // cap is worth keeping there, at the price of restoring s->time
+        // after. Otherwise the sweep fills s->full from rank 0, which
+        // needs no setup and no restore: every in-edge is ranked earlier,
+        // so each time is written before it is read.
+        const bool inPlace = resume > cap;
+        const std::size_t from = inPlace ? resume : 0;
+        std::vector<Cycles> &time = inPlace ? s->time : s->full;
+        const Cycles end = relaxInOrder(clamped, time, from);
+        a.recomputed += n - from;
+        finishWithTimes(time, clamped, end, a);
+        if (inPlace)
+            std::copy(baseTime_.begin(), baseTime_.end(), s->time.begin());
+    } else {
+        // Without the certificate a Kahn pass over fresh times decides,
+        // and it is also what proves a timing cycle (the only way the
+        // re-sweep budget runs out on a DAG is a large delta).
         std::vector<Cycles> time;
-        if (universalOrder_) {
-            relaxInOrder(clamped, time);
-        } else if (!relaxFull(clamped, time, nullptr)) {
+        a.recomputed += n;
+        if (relaxFull(clamped, time, nullptr)) {
+            Cycles end = 0;
+            for (std::size_t v = 0; v < n; ++v)
+                end = std::max(end, time[v] + lay_.dur[v]);
+            finishWithTimes(time, clamped, end, a);
+        } else {
             a.status = Attempt::Status::Infeasible;
-            return a;
         }
-        return finishWithTimes(time, clamped);
     }
+    returnScratch(std::move(s));
+    return a;
+}
 
-    // Affected constraints only: those referencing a node whose time
-    // moved, every write-kind constraint of a changed FIFO (its target
-    // read index moved with the depth), and the baseline-divergent set.
-    // Checked in recorded order so the first reported divergence is
-    // bit-identical to the full pass.
-    a.viaDelta = true;
-    a.relaxedNodes = changedNodes.size();
-    std::vector<std::uint32_t> inds(baselineDivergent_);
-    for (const std::size_t f : changedFifos)
-        inds.insert(inds.end(), writeConsByFifo_[f].begin(),
-                    writeConsByFifo_[f].end());
-    for (const std::uint64_t v : changedNodes)
-        inds.insert(inds.end(), consIds_.begin() + consOffsets_[v],
-                    consIds_.begin() + consOffsets_[v + 1]);
-    std::sort(inds.begin(), inds.end());
-    inds.erase(std::unique(inds.begin(), inds.end()), inds.end());
-    for (const std::uint32_t i : inds) {
-        const bool now = evalConstraint(i, cur, clamped);
-        if (now != lay_.cons[i].outcome) {
-            a.status = Attempt::Status::Diverged;
-            a.constraintIndex = lay_.cons[i].origIndex;
-            a.nowAnswer = now;
-            return a;
-        }
-    }
+CompiledRun::Attempt
+CompiledRun::resimulate(const std::vector<std::uint32_t> &depths) const
+{
+    static obs::Counter &mAttempts =
+        obs::Registry::global().counter("engine.resim.attempts");
+    static obs::Counter &mDelta =
+        obs::Registry::global().counter("engine.resim.delta");
+    static obs::Counter &mFullRelax =
+        obs::Registry::global().counter("engine.resim.full_relax");
+    static obs::Counter &mDiverged =
+        obs::Registry::global().counter("engine.resim.diverged");
+    static obs::Counter &mInfeasible =
+        obs::Registry::global().counter("engine.resim.infeasible");
+    static obs::Counter &mReused =
+        obs::Registry::global().counter("engine.resim.reused");
+    static obs::Histogram &mConeNodes =
+        obs::Registry::global().histogram("engine.resim.cone_nodes");
+    static obs::Histogram &mSeeds =
+        obs::Registry::global().histogram("engine.resim.seeds");
+    static obs::Histogram &mResimUs =
+        obs::Registry::global().histogram("engine.resim.us");
+    // Hot span: fires per incremental request; the flight mirror keeps
+    // serve.request / dse.evaluate as the crash-stack context instead.
+    OMNISIM_SPAN_HOT("omnisim.resimulate");
+    obs::ScopedLatencyUs resimTimer(mResimUs);
 
-    a.status = Attempt::Status::Reused;
-    // Total latency: the collapsed-node floor, the best unchanged
-    // baseline contribution (first byContrib_ entry outside the changed
-    // set — tail slack is folded into dur), improved by the changed
-    // nodes' new contributions.
-    Cycles total = lay_.floor;
-    for (const std::uint64_t v : byContrib_) {
-        if (!changedFlag[v]) {
-            total = std::max(total, baseTime_[v] + lay_.dur[v]);
-            break;
-        }
+    const Attempt a = attempt(depths);
+    mAttempts.add();
+    if (a.viaDelta())
+        mDelta.add();
+    else
+        mFullRelax.add(); // fell back to a full relaxation pass
+    mConeNodes.record(a.relaxedNodes);
+    mSeeds.record(a.seeds);
+    switch (a.status) {
+      case Attempt::Status::Infeasible:
+        mInfeasible.add();
+        break;
+      case Attempt::Status::Diverged:
+        mDiverged.add();
+        break;
+      case Attempt::Status::Reused:
+        mReused.add();
+        break;
     }
-    for (const std::uint64_t v : changedNodes)
-        total = std::max(total, cur[v] + lay_.dur[v]);
-    a.totalCycles = total;
     return a;
 }
 

@@ -17,19 +17,37 @@
  * depth-dependent write-after-read edge computable in O(1) — WAR edges
  * are never materialized at all.
  *
- * resimulate() then serves a new depth vector by *delta relaxation*:
- * diff the synthesized WAR edge set against the baseline for the changed
- * FIFOs only, seed a worklist with the destination writes of
- * added/removed/re-sourced edges, and relax node times in cached
- * topological order over just the affected cone. Node times can both
- * rise and fall, so each pop fully recomputes its node from the reverse
- * CSR plus its WAR in-edge; chaotic re-evaluation converges to the
- * unique longest-path fixed point on any DAG, and a bounded pop budget
- * catches the cyclic (timing-infeasible) case. When the delta is too
- * large, the budget trips, or a depth vector shrinks a FIFO into a
- * potential cycle, the attempt falls back to a full relaxation pass —
- * still over the compiled CSR, with WAR edges overlaid functionally, so
- * even the fallback never rebuilds a graph.
+ * resimulate() then serves a new depth vector by *delta relaxation*,
+ * paying for what the probe changes rather than for the graph:
+ *
+ *  - Seeds. Only a blocking write of a changed FIFO has a depth-
+ *    dependent in-edge, and it is a seed iff recomputing it over the
+ *    baseline times under the new depths differs from its baseline time
+ *    — its old WAR term was the binding in-edge, or its new WAR term
+ *    exceeds its baseline time. The rule is exact in both directions,
+ *    so every other node already sits at its fixed point.
+ *  - Delta or full. More seeds than the cone cap (an eighth of the
+ *    nodes) go straight to one full relaxation pass; no seeds at all
+ *    move no node, and only the changed FIFOs' write-kind constraints
+ *    are re-checked. Otherwise the seeds are relaxed in cached
+ *    topological order over just the affected cone, from the lowest to
+ *    the highest pending rank. Node times can both rise and fall, so each
+ *    pending node is fully recomputed from the reverse CSR plus its WAR
+ *    in-edge; chaotic re-evaluation converges to the unique longest-path
+ *    fixed point on any DAG, and a bounded re-sweep budget catches the
+ *    cyclic (timing-infeasible) case. A cone that outgrows the cap or a
+ *    spent budget hands over to the full pass, which is still over the
+ *    compiled CSR with WAR edges overlaid functionally — even the
+ *    fallback never rebuilds a graph.
+ *  - Scratch. The per-probe node times and flags live in scratch buffers
+ *    pooled per CompiledRun: one is made on the first probe that needs
+ *    it (never at freeze) and handed back restored to the baseline,
+ *    however the probe ended — through the changed-node list, or with
+ *    one copy of the baseline times after a full sweep that kept the
+ *    unchanged ranks below its start. A full sweep with a short such
+ *    prefix runs from rank 0 into a second buffer instead, which needs
+ *    no restore. The pool grows only while every buffer is in use, so
+ *    it holds at most one buffer per concurrent prober.
  *
  * Probed depths are clamped per FIFO to writes+1 first: no WAR edge
  * exists beyond that and every recorded write-kind constraint index is
@@ -62,12 +80,14 @@
 #define OMNISIM_GRAPH_COMPILED_RUN_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/csr.hh"
 #include "graph/simgraph.hh"
 #include "opt/layout.hh"
 #include "runtime/fifo_table.hh"
+#include "support/sync.hh"
 #include "support/types.hh"
 
 namespace omnisim
@@ -76,12 +96,13 @@ namespace omnisim
 struct QueryRecord; // core/omnisim.hh
 
 /**
- * Immutable compiled snapshot of one finished run. All mutable state of
- * resimulate() is per-call scratch, so a single CompiledRun may serve
- * any number of concurrent callers (the DSE EvalCache probes pooled
- * runs from every batch worker at once). Self-contained: the layout
- * owns every array the solver touches, so the originating tables and
- * constraint list are only read during construction.
+ * Immutable compiled snapshot of one finished run. The only mutable
+ * state is the pool of probe scratch, leased for one resimulate() call
+ * at a time under a mutex, so a single CompiledRun may serve any number
+ * of concurrent callers (the DSE EvalCache probes pooled runs from every
+ * batch worker at once). Self-contained: the layout owns every array
+ * the solver touches, so the originating tables and constraint list are
+ * only read during construction.
  */
 class CompiledRun
 {
@@ -96,7 +117,19 @@ class CompiledRun
             Infeasible, ///< New depths create a timing cycle.
         };
 
+        /** How the attempt was decided (see the file comment). */
+        enum class Path : std::uint8_t
+        {
+            Unchanged, ///< No clamped depth changed: baseline times.
+            NoSeeds,   ///< Depths changed, but no node time can move.
+            Delta,     ///< The worklist sweep over the affected cone.
+            SeedCount, ///< Seeds over the cone cap: the full pass.
+            ConeCap,   ///< The cone outgrew the cap: the full pass.
+            Resweep,   ///< The re-sweep budget ran out: the full pass.
+        };
+
         Status status = Status::Reused;
+        Path path = Path::Unchanged;
 
         /** First divergent constraint (index into the recorded list);
          *  valid when status == Diverged. */
@@ -108,14 +141,23 @@ class CompiledRun
         /** Re-finalized total latency; valid when status == Reused. */
         Cycles totalCycles = 0;
 
-        /** True when the delta worklist served the attempt without a
-         *  full relaxation pass (the compiled fast path). */
-        bool viaDelta = false;
-
-        /** Nodes whose times were recomputed: the affected cone on the
-         *  delta path, every node on a full relaxation, 0 when the
-         *  depths were unchanged. Telemetry feeds on this. */
+        /** Nodes whose times moved: the affected cone on the delta
+         *  path, every node on a full relaxation, 0 when no node can
+         *  move. Telemetry feeds on this. */
         std::size_t relaxedNodes = 0;
+
+        /** Exact seeds: blocking writes of changed FIFOs whose time,
+         *  recomputed over the baseline under the new depths, moved.
+         *  Counting stops one past the cone cap (Path::SeedCount). */
+        std::size_t seeds = 0;
+
+        /** Nodes the sweeps recomputed (a node re-swept counts again;
+         *  a full pass counts every node it visits). */
+        std::size_t recomputed = 0;
+
+        /** True when no full relaxation pass was needed (the compiled
+         *  fast path). */
+        bool viaDelta() const { return path <= Path::Delta; }
     };
 
     /**
@@ -182,16 +224,61 @@ class CompiledRun
     const opt::CompileStats &compileStats() const { return lay_.stats; }
 
     /**
-     * Attempt an incremental re-finalization under new depths.
-     * Thread-safe and allocation-bounded; never touches shared state.
-     * Divergences are reported in original recorded-constraint indices
-     * regardless of optimization level.
+     * Attempt an incremental re-finalization under new depths, and
+     * account for it: the engine.resim.* counters and histograms and the
+     * omnisim.resimulate span, for a live engine and a StoredRun alike.
+     * Thread-safe. Besides the lock-free metrics, the only shared state
+     * it touches is the scratch pool: a scratch is leased under the pool
+     * mutex and handed back restored, so its node-sized buffers are made
+     * once and reused; only the Kahn fallback (no universal order)
+     * allocates them per probe. Divergences are reported in original
+     * recorded-constraint indices regardless of optimization level.
      *
      * @param depths one depth per FIFO (size == fifo count).
      */
     Attempt resimulate(const std::vector<std::uint32_t> &depths) const;
 
   private:
+    /**
+     * One prober's working set. Between probes it holds the baseline:
+     * time equals baseTime_, the flags are zero and the lists empty.
+     * full keeps what the last sweep from rank 0 left: such a sweep
+     * writes each time before reading it.
+     */
+    struct Scratch
+    {
+        std::vector<Cycles> time;          ///< Node times of the probe.
+        std::vector<Cycles> full;          ///< A rank-0 sweep's times.
+        std::vector<std::uint8_t> changed; ///< By node: time moved.
+        std::vector<std::uint8_t> pending; ///< By rank: to recompute.
+        std::vector<std::uint64_t> seeds;
+        std::vector<std::uint64_t> changedNodes;
+    };
+
+    /** The probe itself (resimulate() minus its accounting). */
+    Attempt attempt(const std::vector<std::uint32_t> &depths) const;
+
+    /** Lease a scratch from the pool, making one if none is free. */
+    std::unique_ptr<Scratch> takeScratch() const
+        OMNISIM_EXCLUDES(scratchMu_);
+
+    /** Restore a scratch to the baseline and return it to the pool. */
+    void returnScratch(std::unique_ptr<Scratch> s) const
+        OMNISIM_EXCLUDES(scratchMu_);
+
+    /** Fill s.seeds with the exact seeds of the changed FIFOs, in
+     *  FIFO and write order, stopping once there are more than @p cap.
+     *  @return a rank no seed ranks below, valid under a universal
+     *  order. */
+    std::size_t collectSeeds(const std::vector<std::uint32_t> &depths,
+                             const std::vector<std::size_t> &changedFifos,
+                             std::size_t cap, Scratch &s) const;
+
+    /** Under a universal order, a rank no blocking write of @p fl past
+     *  index @p k ranks below. */
+    std::size_t readRankBound(const opt::FifoLayout &fl,
+                              std::size_t k) const;
+
     /** Solve the layout (the body of the layout constructor). */
     void freeze();
 
@@ -213,20 +300,25 @@ class CompiledRun
                    std::vector<Cycles> &time,
                    std::vector<std::uint32_t> *order) const;
 
-    /** Full relaxation as one sweep in cached rank order, recomputing
-     *  each node from its in-edges. Exact only under a universal order
-     *  (every in-edge then originates earlier in the sweep). Depths must
-     *  already be clamped. */
-    void relaxInOrder(const std::vector<std::uint32_t> &depths,
-                      std::vector<Cycles> &time) const;
+    /** Full relaxation as one sweep in cached rank order from rank
+     *  @p from on, recomputing each node from its in-edges. Exact only
+     *  under a universal order (every in-edge then originates earlier in
+     *  the sweep) and when every node ranked below @p from already holds
+     *  its time. Depths must already be clamped.
+     *  @return the latest finish, max(time + dur), over every node. */
+    Cycles relaxInOrder(const std::vector<std::uint32_t> &depths,
+                        std::vector<Cycles> &time,
+                        std::size_t from = 0) const;
 
-    /** Delta worklist relaxation. @return false to request the full
-     *  fallback (budget exceeded / possible cycle). */
-    bool relaxDelta(const std::vector<std::uint32_t> &depths,
-                    const std::vector<std::size_t> &changedFifos,
-                    std::vector<Cycles> &cur,
-                    std::vector<std::uint8_t> &changedFlag,
-                    std::vector<std::uint64_t> &changedNodes) const;
+    /** Delta worklist relaxation of s.seeds over s.time, until more
+     *  than @p cap nodes moved. @return Delta when it converged, else
+     *  the full pass it hands over to (ConeCap or Resweep); @p resume is
+     *  then the first rank whose time an in-order sweep must still
+     *  recompute. Every pending flag is clear again on return. */
+    Attempt::Path relaxDelta(const std::vector<std::uint32_t> &depths,
+                             Scratch &s, std::size_t cap,
+                             std::size_t &recomputed,
+                             std::size_t &resume) const;
 
     /** Recompute one node's time from its in-edges under a time view. */
     Cycles recompute(std::uint64_t v, const std::vector<Cycles> &cur,
@@ -242,8 +334,18 @@ class CompiledRun
                            const std::vector<std::uint32_t> &depths,
                            F &&f) const;
 
-    Attempt finishWithTimes(const std::vector<Cycles> &time,
-                            const std::vector<std::uint32_t> &depths) const;
+    /** Re-check every kept constraint over a full pass's times; the
+     *  total is @p end, their latest finish, or the floor. */
+    void finishWithTimes(const std::vector<Cycles> &time,
+                         const std::vector<std::uint32_t> &depths,
+                         Cycles end, Attempt &a) const;
+
+    /** Re-check the constraints a delta can have moved (the baseline-
+     *  divergent set, the changed FIFOs' write-kind constraints and
+     *  those referencing a changed node) and total from the baseline. */
+    void finishDelta(const std::vector<std::uint32_t> &depths,
+                     const std::vector<std::size_t> &changedFifos,
+                     const Scratch &s, Attempt &a) const;
 
     // ---- Frozen structure (layout node ids throughout) --------------
     opt::RunLayout lay_;
@@ -273,6 +375,11 @@ class CompiledRun
     /** Kept constraints whose baseline re-evaluation already differs
      *  from the recorded outcome (lazy-mode repairs), ascending. */
     std::vector<std::uint32_t> baselineDivergent_;
+
+    // ---- Probe scratch pool -----------------------------------------
+    mutable sync::Mutex scratchMu_;
+    mutable std::vector<std::unique_ptr<Scratch>>
+        scratchFree_ OMNISIM_GUARDED_BY(scratchMu_);
 };
 
 } // namespace omnisim

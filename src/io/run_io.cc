@@ -424,7 +424,7 @@ StoredRun::resimulate(const std::vector<std::uint32_t> &depths) const
 
     const CompiledRun::Attempt a = compiled_.resimulate(depths);
     out.viaCompiled = true;
-    out.viaDelta = a.viaDelta;
+    out.viaDelta = a.viaDelta();
     switch (a.status) {
       case CompiledRun::Attempt::Status::Infeasible:
         out.reason = "new depths make the recorded timing infeasible "

@@ -173,7 +173,8 @@ class StoredRun
      * relaxation over the persisted layout. Identical contract to
      * OmniSim::resimulate(): reused outcomes carry the baseline result
      * with re-finalized cycles; divergence reports the first flipped
-     * constraint with the same message text. Thread-safe.
+     * constraint with the same message text, and the probe is counted
+     * in the same engine.resim.* metrics. Thread-safe.
      */
     IncrementalOutcome
     resimulate(const std::vector<std::uint32_t> &depths) const;

@@ -65,9 +65,6 @@ struct FifoLayout
      *  to writes+1 (no WAR edge exists and every write-kind constraint
      *  index is <= writes+1), so the solver clamps here. */
     std::uint32_t cap = 1;
-
-    /** Live blocking writes (delta-size prediction). */
-    std::uint32_t blockingWrites = 0;
 };
 
 /** One kept recorded constraint, in recorded order. */
@@ -115,9 +112,9 @@ struct RunLayout
 
     CompileStats stats;
 
-    /** Rebuild accFifo/accIdx/accWrite/accBlockingWrite, the per-FIFO
-     *  caps and the blocking counts from fifos[]. Used by the pass
-     *  manager and the run-file decoder. */
+    /** Rebuild accFifo/accIdx/accWrite/accBlockingWrite and the
+     *  per-FIFO caps from fifos[]. Used by the pass manager and the
+     *  run-file decoder. */
     void rebuildAccessMaps();
 };
 

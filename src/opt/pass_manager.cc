@@ -54,7 +54,6 @@ RunLayout::rebuildAccessMaps()
     for (std::size_t f = 0; f < fifos.size(); ++f) {
         FifoLayout &fl = fifos[f];
         fl.cap = static_cast<std::uint32_t>(fl.writeNode.size()) + 1;
-        fl.blockingWrites = 0;
         for (std::size_t w = 0; w < fl.writeNode.size(); ++w) {
             const std::uint32_t v = fl.writeNode[w];
             if (v == kNoNode)
@@ -62,10 +61,8 @@ RunLayout::rebuildAccessMaps()
             accFifo[v] = static_cast<std::int32_t>(f);
             accIdx[v] = static_cast<std::uint32_t>(w + 1);
             accWrite[v] = 1;
-            if (fl.writeBlocking[w]) {
+            if (fl.writeBlocking[w])
                 accBlockingWrite[v] = 1;
-                ++fl.blockingWrites;
-            }
         }
         for (std::size_t r = 0; r < fl.readNode.size(); ++r) {
             const std::uint32_t v = fl.readNode[r];

@@ -208,7 +208,6 @@ checkAccessMaps(const RunLayout &lay, const VerifyContext &ctx)
             failVerify(ctx, "fifo-cap",
                        strf("fifo %zu cap %u != writes %zu + 1", f,
                             fl.cap, fl.writeNode.size()));
-        std::uint32_t blocking = 0;
         for (std::size_t w = 0; w < fl.writeNode.size(); ++w) {
             const std::uint32_t v = fl.writeNode[w];
             if (v == kNoNode)
@@ -221,7 +220,6 @@ checkAccessMaps(const RunLayout &lay, const VerifyContext &ctx)
                                 "disagrees with the accessor arrays",
                                 w + 1, f, v));
             covered[v] = 1;
-            blocking += lay.accBlockingWrite[v] ? 1 : 0;
         }
         for (std::size_t r = 0; r < fl.readNode.size(); ++r) {
             const std::uint32_t v = fl.readNode[r];
@@ -239,11 +237,6 @@ checkAccessMaps(const RunLayout &lay, const VerifyContext &ctx)
                                 "write", v));
             covered[v] = 1;
         }
-        if (blocking != fl.blockingWrites)
-            failVerify(ctx, "acc-map-consistent",
-                       strf("fifo %zu records %u blocking writes, "
-                            "entries say %u", f, fl.blockingWrites,
-                            blocking));
     }
     for (std::size_t v = 0; v < n; ++v) {
         if (lay.accFifo[v] >= 0 && !covered[v])

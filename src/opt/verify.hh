@@ -25,8 +25,8 @@
  *                          cap == writes + 1.
  *   [acc-map-consistent]   the O(1) accessor arrays (accFifo/accIdx/
  *                          accWrite/accBlockingWrite) and fifos[] are
- *                          two views of the same map, including the
- *                          blocking flags and blockingWrites counts.
+ *                          two views of the same map, including every
+ *                          write's blocking flag.
  *   [cons-addressable]     kept constraints are in strictly ascending
  *                          recorded order below the recorded count,
  *                          reference live nodes, and their evaluation

@@ -188,7 +188,14 @@ TEST(Verify, AccessMapDriftIsRejected)
     opt::RunLayout lay = compileSnapshot(snap, opt::OptLevel::O1);
     ASSERT_FALSE(lay.fifos.empty());
 
-    lay.fifos[0].blockingWrites += 1;
+    // Flip the blocking flag of the first live write: the accessor array
+    // then disagrees with the FIFO's own per-write flags.
+    const std::vector<std::uint32_t> &writes = lay.fifos[0].writeNode;
+    const auto live = std::find_if(
+        writes.begin(), writes.end(),
+        [](std::uint32_t v) { return v != opt::kNoNode; });
+    ASSERT_NE(live, writes.end());
+    lay.accBlockingWrite[*live] ^= 1;
 
     opt::VerifyContext ctx;
     ctx.pass = "test-acc-drift";
